@@ -58,7 +58,8 @@ class NonPositiveWeightError(TorusTutteError):
 
 
 class SingularSystemError(TorusTutteError):
-    """The reduced balance system lost rank; unreachable for validated meshes."""
+    """The sparse LU of the balance matrix without vertex 0 found it
+    exactly singular; unreachable for validated meshes."""
 
 
 class NotAdmissibleError(TorusTutteError):

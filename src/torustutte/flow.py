@@ -26,6 +26,7 @@ otherwise the step halves. Every accepted step re-solves the balance
 system from scratch.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .tutte import (
     _solve_raw,
     _validated_values,
     assemble_system,
+    balance_energy,
 )
 
 CONVERGED = "converged"
@@ -111,54 +113,56 @@ def _asym_bound(values, rev):
     return max(2.0, float(np.abs(values - values[rev]).max()))
 
 
+def _gate_scale(mesh, values):
+    """Scale of the projection gate's argument: loop_gap / (2 E + sum 1/w)."""
+    return loop_gap(mesh) / (2.0 * mesh.edge_count + float((1.0 / values).sum()))
+
+
 def flow_constants(mesh, weights, energy=None):
     """Derived constants of the flow at the given weights.
 
     ``energy`` defaults to the balance energy of the weights; pass it
-    when already computed to avoid one solve.
+    when already computed to avoid one solve. The decay rate is formed
+    through its logarithm; when it underflows it is 0.0 and the time
+    bound is infinite.
     """
     values = _validated_values(mesh, weights)
     if energy is None:
-        _, _, energy = _solve_raw(mesh, assemble_system(mesh, weights))
+        energy = balance_energy(mesh, weights)
     gap = loop_gap(mesh)
     n = mesh.vertex_count
     lo = float(values.min())
     asym = _asym_bound(values, mesh.reverse_index)
-    gate_scale = gap / (2.0 * mesh.edge_count + float((1.0 / values).sum()))
-    decay_rate = (gap * lo / asym) / (2.0 * np.sqrt(n) * (1.0 + asym / lo) ** (n - 1))
+    log_rate = math.log(gap * lo / asym) - math.log(2.0 * math.sqrt(n))
+    decay_rate = math.exp(log_rate - (n - 1) * math.log1p(asym / lo))
     return FlowConstants(
         loop_gap=gap,
         min_weight=lo,
         asym_bound=asym,
-        gate_scale=gate_scale,
-        decay_rate=float(decay_rate),
-        time_bound=float(2.0 * np.sqrt(energy) / decay_rate),
+        gate_scale=_gate_scale(mesh, values),
+        decay_rate=decay_rate,
+        time_bound=2.0 * math.sqrt(energy) / decay_rate if decay_rate > 0 else math.inf,
     )
 
 
-def _velocity(mesh, values, coords, residual):
+def _velocity(mesh, values, coords, direction):
     """Euler field at the current state; assumes a nonzero residual."""
-    norms = np.linalg.norm(residual, axis=1)
-    top = residual[int(np.argmax(norms))]
-    direction = top / np.linalg.norm(top)
     u = edge_vectors(mesh, Placement(coords)) @ direction
     rev = mesh.reverse_index
-    gap = loop_gap(mesh)
-    gate_scale = gap / (2.0 * mesh.edge_count + float((1.0 / values).sum()))
     return values * projection_gate(
-        (values + values[rev]) * u / gate_scale
+        (values + values[rev]) * u / _gate_scale(mesh, values)
     ) * asymmetry_gate(values - values[rev])
 
 
 def flow_velocity(mesh, weights, tol=ADMISSIBLE_TOL):
     """dw/dt at the given weights; raises AdmissibleInputError at energy <= tol."""
     values = _validated_values(mesh, weights)
-    coords, residual, energy = _solve_raw(mesh, assemble_system(mesh, weights))
+    coords, _, energy, direction = _solve_raw(assemble_system(mesh, weights))
     if energy <= tol:
         raise AdmissibleInputError(
             f"flow velocity undefined: energy {energy:.3e} is within tolerance"
         )
-    return _velocity(mesh, values, coords, residual)
+    return _velocity(mesh, values, coords, direction)
 
 
 def retract(
@@ -183,7 +187,7 @@ def retract(
     """
     values = _validated_values(mesh, weights).copy()
     rev = mesh.reverse_index
-    coords, residual, energy = _solve_raw(mesh, assemble_system(mesh, WeightAssignment(values)))
+    coords, _, energy, direction = _solve_raw(assemble_system(mesh, WeightAssignment(values)))
     samples = [
         FlowSample(0.0, values.copy(), energy, float(values.min()), _asym_bound(values, rev))
     ]
@@ -195,7 +199,7 @@ def retract(
     steps = 0
     status = BUDGET_EXCEEDED
     while steps < max_steps:
-        velocity = _velocity(mesh, values, coords, residual)
+        velocity = _velocity(mesh, values, coords, direction)
         asym = _asym_bound(values, rev)
         accepted = False
         while dt >= dt_min:
@@ -205,8 +209,8 @@ def retract(
                     raise NonFiniteStateError("flow state left the positive cone")
                 dt *= 0.5
                 continue
-            coords_t, residual_t, energy_t = _solve_raw(
-                mesh, assemble_system(mesh, WeightAssignment(trial))
+            coords_t, _, energy_t, direction_t = _solve_raw(
+                assemble_system(mesh, WeightAssignment(trial))
             )
             if (
                 np.isfinite(energy_t)
@@ -221,7 +225,7 @@ def retract(
         steps += 1
         t += dt
         values = trial
-        coords, residual, energy = coords_t, residual_t, energy_t
+        coords, energy, direction = coords_t, energy_t, direction_t
         samples.append(
             FlowSample(t, values.copy(), energy, float(values.min()), _asym_bound(values, rev))
         )

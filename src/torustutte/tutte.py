@@ -10,11 +10,19 @@ in the least-squares sense. The minimum of ||A x - b||_F^2 is the
 balance energy; weights are admissible when it vanishes, and for
 admissible weights the balanced placement is always an embedding.
 
-For non-admissible weights the residual at the minimizer is forced
-into a rigid shape: its two columns span one line, all rows point the
-same way, and row norms are reproduced by weighted sums of the edge
-projections u_ij onto the common direction. The retraction flow is
-built entirely from that structure.
+A(w) has zero row sums and positive off-diagonal entries: it generates
+a Markov chain with rates w_ij, whose stationary distribution pi is the
+strictly positive left null vector of A. The range of A is the
+orthogonal complement of pi, so the least-squares residual is the
+projection of -b onto pi, a closed form in the drift d = pi^T b:
+
+    r = -pi d^T / |pi|^2,    energy = |d|^2 / |pi|^2.
+
+It has rank one, every row points along the shared residual direction
+-d / |d|, and row norms are reproduced by weighted sums of the edge
+projections u_ij onto that direction. The retraction flow is built
+entirely from this structure. Each solve factors A without vertex 0
+once, by sparse LU, and gets both pi and the placement from it.
 """
 
 from dataclasses import dataclass
@@ -32,7 +40,6 @@ from .errors import (
 from .geometry import Placement, edge_vectors, verify_embedding
 
 ADMISSIBLE_TOL = 1e-10
-DENSE_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -113,71 +120,54 @@ class ResidualReport:
 
 
 def assemble_system(mesh, weights):
-    """Assemble A(w) and b(w); dense below the size cutoff, sparse above."""
+    """Assemble A(w) as a sparse CSC matrix and b(w) as an (n, 2) array."""
     values = _validated_values(mesh, weights)
     n = mesh.vertex_count
     src = mesh.directed_edges[:, 0]
     dst = mesh.directed_edges[:, 1]
-    diag = np.zeros(n)
-    np.add.at(diag, src, -values)
+    # duplicate (i, i) entries are summed into the diagonal -sum_j w_ij
+    rows = np.concatenate([src, src])
+    cols = np.concatenate([dst, src])
+    matrix = scipy.sparse.csc_matrix((np.concatenate([values, -values]), (rows, cols)), shape=(n, n))
     rhs = np.zeros((n, 2))
     np.subtract.at(rhs, src, values[:, None] * mesh.shifts)
-    if n <= DENSE_LIMIT:
-        matrix = np.zeros((n, n))
-        matrix[src, dst] = values
-        matrix[np.arange(n), np.arange(n)] = diag
-    else:
-        rows = np.concatenate([src, np.arange(n)])
-        cols = np.concatenate([dst, np.arange(n)])
-        data = np.concatenate([values, diag])
-        matrix = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     return BalanceSystem(matrix=matrix, rhs=rhs)
 
 
-def _solve_raw(mesh, system):
-    """Least-squares solve with vertex 0 pinned at the origin.
+def _solve_raw(system):
+    """Pinned least squares from one sparse LU of A without vertex 0.
 
-    Returns (coords, residual, energy). Dense systems go through the
-    rank-revealing LAPACK driver; sparse ones through LSQR per column.
+    A transposed solve gives the stationary vector pi with pi_0 = 1, the
+    closed form gives residual and energy from d = pi^T b, and a plain
+    solve of the consistent system A x = b + r gives the coordinates.
+    Returns (coords, residual, energy, direction), where direction is
+    -d / |d|, or None when d is exactly zero.
     """
-    n = mesh.vertex_count
-    rhs = system.rhs
-    if scipy.sparse.issparse(system.matrix):
-        reduced = system.matrix[:, 1:]
-        cols = []
-        for c in range(2):
-            sol = scipy.sparse.linalg.lsqr(
-                reduced, rhs[:, c], atol=1e-14, btol=1e-14, iter_lim=20 * n
-            )[0]
-            cols.append(sol)
-        free = np.stack(cols, axis=1)
-    else:
-        reduced = system.matrix[:, 1:]
-        free, _, rank, _ = np.linalg.lstsq(reduced, rhs, rcond=None)
-        if rank < n - 1:
-            raise SingularSystemError(
-                f"reduced balance system has rank {rank}, expected {n - 1}"
-            )
+    matrix, rhs = system.matrix, system.rhs
+    try:
+        lu = scipy.sparse.linalg.splu(matrix[1:, 1:])
+    except RuntimeError as exc:
+        raise SingularSystemError(f"reduced balance matrix is singular: {exc}") from exc
+    pi = np.concatenate([[1.0], lu.solve(-matrix[0, 1:].toarray().ravel(), trans="T")])
+    pi_sq = float(pi @ pi)
+    drift = pi @ rhs
+    residual = np.outer(pi, -drift / pi_sq)
+    free = lu.solve(rhs[1:] + residual[1:])
     coords = np.vstack([np.zeros((1, 2)), free])
-    residual = reduced @ free - rhs
-    energy = float((residual * residual).sum())
-    return coords, residual, energy
+    drift_norm = float(np.linalg.norm(drift))
+    direction = -drift / drift_norm if drift_norm > 0 else None
+    return coords, residual, drift_norm**2 / pi_sq, direction
 
 
-def _report_from_residual(mesh, values, coords, residual, energy, tol):
+def _report_from_residual(mesh, values, coords, residual, energy, direction, tol):
     ratio = float((values / values[mesh.reverse_index]).max())
     sv = np.linalg.svd(residual, compute_uv=False)
     singular_ratio = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
     if energy > tol:
-        norms = np.linalg.norm(residual, axis=1)
-        top = residual[int(np.argmax(norms))]
-        direction = top / np.linalg.norm(top)
         projections = edge_vectors(mesh, Placement(coords)) @ direction
-        zero_residual = False
     else:
         direction = None
         projections = None
-        zero_residual = True
     return ResidualReport(
         residuals=residual,
         energy=energy,
@@ -185,23 +175,21 @@ def _report_from_residual(mesh, values, coords, residual, energy, tol):
         projections=projections,
         max_weight_ratio=ratio,
         singular_ratio=singular_ratio,
-        zero_residual=zero_residual,
+        zero_residual=energy <= tol,
     )
 
 
 def solve_balance(mesh, weights, tol=ADMISSIBLE_TOL):
     """Solve the balance system; returns (placement, residual report)."""
     values = _validated_values(mesh, weights)
-    system = assemble_system(mesh, weights)
-    coords, residual, energy = _solve_raw(mesh, system)
-    report = _report_from_residual(mesh, values, coords, residual, energy, tol)
+    coords, residual, energy, direction = _solve_raw(assemble_system(mesh, weights))
+    report = _report_from_residual(mesh, values, coords, residual, energy, direction, tol)
     return Placement(coords), report
 
 
 def balance_energy(mesh, weights):
     """Minimum of ||A x - b||_F^2 over placements with vertex 0 pinned."""
-    system = assemble_system(mesh, weights)
-    return _solve_raw(mesh, system)[2]
+    return _solve_raw(assemble_system(mesh, weights))[2]
 
 
 def is_admissible(mesh, weights, tol=ADMISSIBLE_TOL):

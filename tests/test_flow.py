@@ -13,6 +13,7 @@ from torustutte import (
     balance_energy,
     flow_constants,
     flow_velocity,
+    gen_grid,
     is_admissible,
     loop_gap,
     projection_gate,
@@ -108,6 +109,17 @@ def test_flow_constants_computes_energy(grid3):
     )
     assert constants.min_weight == 1.0
     assert constants.asym_bound == pytest.approx(4.0)  # |5 - 1| on one edge
+
+
+def test_flow_constants_underflow_is_explicit():
+    """Six decades of weight spread at 64 vertices: the rate bound leaves float range."""
+    mesh, _ = gen_grid(8)
+    rng = np.random.default_rng(11)
+    weights = WeightAssignment(10.0 ** rng.uniform(-3.0, 3.0, len(mesh.directed_edges)))
+    constants = flow_constants(mesh, weights)
+    assert constants.decay_rate == 0.0
+    assert constants.time_bound == math.inf
+    assert constants.gate_scale > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse
 
 import helpers
 from torustutte import (
@@ -10,6 +9,7 @@ from torustutte import (
     gen_grid,
     is_admissible,
     mean_value_weights,
+    perturb,
     residual_structure,
     solve_balance,
     tutte_map,
@@ -78,7 +78,7 @@ def test_nonpositive_weights_rejected(grid3):
 def test_assembly_uniform_grid(grid3):
     mesh, placement = grid3
     system = assemble_system(mesh, uniform_weights(mesh))
-    matrix, rhs = system.matrix, system.rhs
+    matrix, rhs = system.matrix.toarray(), system.rhs
     assert matrix.shape == (9, 9)
     assert np.allclose(np.diag(matrix), -6.0, atol=0)
     for i in range(9):
@@ -109,7 +109,7 @@ def test_assembly_matches_oracle(grid4, rng):
     values = helpers.random_directed_weights(mesh, rng, 0.1, 10.0)
     system = assemble_system(mesh, WeightAssignment(values))
     oracle_matrix, oracle_rhs = helpers.oracle_assemble(mesh, values)
-    assert np.allclose(system.matrix, oracle_matrix, atol=1e-13)
+    assert np.allclose(system.matrix.toarray(), oracle_matrix, atol=1e-13)
     assert np.allclose(system.rhs, oracle_rhs, atol=1e-13)
 
 
@@ -140,15 +140,15 @@ def test_symmetric_weights_admissible(grid4, rng):
         assert np.allclose(pi @ rhs, 0.0, atol=1e-12)
 
 
-def test_solution_matches_normal_equations_oracle(grid3, rng):
-    mesh, _ = grid3
-    for _ in range(5):
-        values = helpers.random_directed_weights(mesh, rng, 0.5, 2.0)
-        placement, report = solve_balance(mesh, WeightAssignment(values))
-        coords, residual, energy = helpers.oracle_solve(mesh, values)
-        assert np.allclose(placement.coords, coords, atol=1e-8)
-        assert report.energy == pytest.approx(energy, rel=1e-8, abs=1e-20)
-        assert np.allclose(report.residuals, residual, atol=1e-8)
+def test_solution_matches_normal_equations_oracle(grid3, k7, rng):
+    for mesh, _ in (grid3, k7):
+        for _ in range(5):
+            values = helpers.random_directed_weights(mesh, rng, 0.5, 2.0)
+            placement, report = solve_balance(mesh, WeightAssignment(values))
+            coords, residual, energy = helpers.oracle_solve(mesh, values)
+            assert np.allclose(placement.coords, coords, atol=1e-8)
+            assert report.energy == pytest.approx(energy, rel=1e-8, abs=1e-20)
+            assert np.allclose(report.residuals, residual, atol=1e-8)
 
 
 def test_residual_satisfies_normal_condition(grid3, rng):
@@ -177,6 +177,13 @@ def test_left_null_vector_detects_admissibility(grid3, rng):
             assert mismatch <= 1e-12
         else:
             assert mismatch > 1e-6
+            # closed form: rank one along pi, every row pointing along -pi^T b
+            drift = pi @ rhs
+            report = residual_structure(mesh, weights)
+            assert np.allclose(report.direction, -drift / np.linalg.norm(drift), atol=1e-12)
+            assert np.allclose(
+                report.residuals, -np.outer(pi, drift) / (pi @ pi), atol=1e-12
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +264,23 @@ def test_is_admissible_rejects_bad_tol(grid3):
 
 
 # ---------------------------------------------------------------------------
-# Sparse path
+# Accuracy across sizes
 
-def test_sparse_assembly_and_solve(monkeypatch):
-    mesh, placement = gen_grid(17)  # 289 vertices, above the dense cutoff
-    weights = uniform_weights(mesh)
-    system = assemble_system(mesh, weights)
-    assert scipy.sparse.issparse(system.matrix)
-    sparse_coords, sparse_report = solve_balance(mesh, weights)
-    assert sparse_report.energy <= 1e-18
-    assert np.allclose(sparse_coords.coords, placement.coords, atol=1e-9)
-
-    import torustutte.tutte as tutte_module
-
-    monkeypatch.setattr(tutte_module, "DENSE_LIMIT", 10**9)
-    dense_system = assemble_system(mesh, weights)
-    assert not scipy.sparse.issparse(dense_system.matrix)
-    dense_coords, dense_report = solve_balance(mesh, weights)
-    assert np.allclose(sparse_coords.coords, dense_coords.coords, atol=1e-9)
-    assert dense_report.energy <= 1e-18
+@pytest.mark.parametrize("m", [16, 17])
+def test_solve_has_no_size_cliff(m):
+    """Same accuracy on both sides of n = 256, where a dense/sparse split once sat."""
+    mesh, placement = gen_grid(m)
+    coords, report = solve_balance(mesh, uniform_weights(mesh))
+    assert report.energy <= 1e-24
+    assert np.allclose(coords.coords, placement.coords, atol=1e-12)
+    bumpy = perturb(mesh, placement, 0.3 / m, seed=3)
+    coords, report = solve_balance(mesh, mean_value_weights(mesh, bumpy))
+    assert report.energy <= 1e-24
+    assert np.abs(coords.coords - bumpy.coords).max() <= 1e-13
 
 
-def test_sparse_solve_mvc_round_trip(monkeypatch, rng):
+def test_sparse_solve_mvc_round_trip():
     mesh, placement = gen_grid(17)
-    from torustutte import perturb
-
     bumpy = perturb(mesh, placement, 0.3 / 17, seed=3)
     weights = mean_value_weights(mesh, bumpy)
     assert is_admissible(mesh, weights)
