@@ -95,27 +95,21 @@ def face_signed_area(mesh, placement, face_index):
     return float(face_signed_areas(mesh, placement)[face_index])
 
 
-def _corner_vectors(mesh, vecs, face_index):
-    """Per-corner edge vector pairs for one face, ordered (i, j, k)."""
-    e_ij, e_jk, e_ki = mesh.face_edges[face_index]
-    return (
-        (vecs[e_ij], -vecs[e_ki]),
-        (vecs[e_jk], -vecs[e_ij]),
-        (vecs[e_ki], -vecs[e_jk]),
-    )
+def _corner_angles(mesh, vecs):
+    """Unsigned inner angle at every corner, (F, 3) in face vertex order."""
+    u = vecs[mesh.face_edges]
+    w = -vecs[np.roll(mesh.face_edges, 1, axis=1)]
+    return np.arctan2(np.abs(_cross(u, w)), np.einsum("fci,fci->fc", u, w))
 
 
 def corner_angle(mesh, placement, face_index, vertex):
     """Unsigned inner angle of a face at one of its vertices, in (0, pi)."""
-    areas = face_signed_areas(mesh, placement)
-    if abs(areas[face_index]) < AREA_TOL:
+    if abs(face_signed_area(mesh, placement, face_index)) < AREA_TOL:
         raise DegenerateFaceError(f"face {face_index} is degenerate")
-    face = mesh.faces[face_index]
-    corners = _corner_vectors(mesh, edge_vectors(mesh, placement), face_index)
-    for v, (u, w) in zip(face, corners):
-        if int(v) == int(vertex):
-            return float(np.arctan2(abs(_cross(u, w)), np.dot(u, w)))
-    raise ValueError(f"vertex {vertex} is not a corner of face {face_index}")
+    corner = np.flatnonzero(mesh.faces[face_index] == int(vertex))
+    if not len(corner):
+        raise ValueError(f"vertex {vertex} is not a corner of face {face_index}")
+    return float(_corner_angles(mesh, edge_vectors(mesh, placement))[face_index, corner[0]])
 
 
 def verify_embedding(mesh, placement, area_tol=AREA_TOL, total_tol=TOTAL_AREA_TOL):
@@ -131,11 +125,7 @@ def verify_embedding(mesh, placement, area_tol=AREA_TOL, total_tol=TOTAL_AREA_TO
     vecs = edge_vectors(mesh, placement)
 
     angle_sums = np.zeros(mesh.vertex_count)
-    for corner in range(3):
-        u = vecs[mesh.face_edges[:, corner]]
-        w = -vecs[mesh.face_edges[:, corner - 1]]
-        angles = np.arctan2(np.abs(_cross(u, w)), np.einsum("ij,ij->i", u, w))
-        np.add.at(angle_sums, mesh.faces[:, corner], angles)
+    np.add.at(angle_sums, mesh.faces.T.ravel(), _corner_angles(mesh, vecs).T.ravel())
 
     is_embedding = bool(areas.min() > area_tol and abs(total - 1.0) <= total_tol)
     return EmbeddingReport(

@@ -12,10 +12,14 @@ Validation happens in :func:`build_mesh`; the class itself is dumb
 storage plus derived lookup tables and is immutable after construction.
 """
 
-from collections import deque
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BadFaceError,
@@ -46,6 +50,44 @@ class GeneratorLoops:
     vertical: tuple
 
 
+class EdgeIndex(Mapping):
+    """Read-only ``{(i, j): position}`` view of sorted directed edges.
+
+    Lookups search the sorted keys ``i * n + j``, which cannot overflow
+    since a valid mesh has n = E - F; iteration follows
+    ``directed_edges``. No per-edge dict or tuple is stored.
+    """
+
+    def __init__(self, directed_edges, vertex_count):
+        self._edges, self._n = directed_edges, vertex_count
+        self._keys = directed_edges[:, 0] * vertex_count + directed_edges[:, 1]
+
+    def ids(self, i, j):
+        """Positions of the edges (i, j), broadcast; -1 for non-edges."""
+        n = self._n
+        i, j = (np.asarray(np.clip(np.asarray(x), -1, n), dtype=np.int64) for x in (i, j))
+        keys = np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, -1)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
+
+    def __getitem__(self, edge):
+        try:
+            i, j = map(operator.index, edge)
+        except (TypeError, ValueError):
+            raise KeyError(edge) from None
+        key = i * self._n + j if 0 <= i < self._n and 0 <= j < self._n else -1
+        k = int(np.searchsorted(self._keys, key))
+        if key < 0 or k == len(self._keys) or self._keys[k] != key:
+            raise KeyError(edge)
+        return k
+
+    def __iter__(self):
+        return map(tuple, self._edges.tolist())
+
+    def __len__(self):
+        return len(self._edges)
+
+
 class TorusTriangulation:
     """Validated torus triangulation. Construct through :func:`build_mesh`.
 
@@ -54,14 +96,24 @@ class TorusTriangulation:
     vertex_count : int
     faces : (F, 3) int array, counterclockwise vertex triples
     directed_edges : (2E, 2) int array in lexicographic (source, target) order
+    edge_index : read-only mapping (i, j) -> position in ``directed_edges``,
+        backed by arrays
+    edge_ids : batched lookup, ``edge_ids(i, j)`` gives the positions of
+        the edges (i, j) broadcast over arrays, -1 for non-edges
     shifts : (2E, 2) int array aligned with ``directed_edges``
     reverse_index : (2E,) int array, position of each edge's reverse
-    rotation : per-vertex tuple of neighbor ids in counterclockwise order
+    rotation : per-vertex tuple of neighbor ids in counterclockwise order,
+        built on first use
+    rotation_offsets, rotation_edges : the rotation as CSR arrays; the
+        outgoing edges of v in counterclockwise order are
+        ``rotation_edges[rotation_offsets[v]:rotation_offsets[v + 1]]``
     face_edges : (F, 3) int array, edge indices of (i->j, j->k, k->i)
     opposite_vertex : (2E,) int array, third vertex of the face left of the edge
+    face_of_edge : (2E,) int array, the face left of the edge
 
     Instances are immutable after construction and safe to share between
-    threads; the only internal mutation is a cache of generator loops.
+    threads; the only internal mutations are the caches of generator
+    loops and of ``rotation``.
     """
 
     def __init__(self, faces, shifts=None, vertex_count=None):
@@ -81,157 +133,146 @@ class TorusTriangulation:
             raise MeshError(
                 f"torus triangulations need at least {MIN_VERTICES} vertices, got {vertex_count}"
             )
-        for f in faces:
-            if len(set(int(v) for v in f)) != 3:
-                raise BadFaceError(f"face {tuple(int(v) for v in f)} repeats a vertex")
+        nxt = np.roll(faces, -1, axis=1)
+        repeats = (faces == nxt).any(axis=1)
+        if repeats.any():
+            raise BadFaceError(f"face {tuple(faces[np.argmax(repeats)].tolist())} repeats a vertex")
 
-        # Each directed edge must appear in exactly one face, and its
-        # reverse in exactly one other; together that is the closed
-        # oriented surface condition on edges.
-        face_of = {}
-        for fi, (i, j, k) in enumerate(faces):
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = (int(a), int(b))
-                if key in face_of:
-                    raise BadOrientationError(
-                        f"directed edge {key} appears in two faces; orientations disagree"
-                    )
-                face_of[key] = fi
-        for i, j in face_of:
-            if (j, i) not in face_of:
-                raise NonManifoldEdgeError(
-                    f"edge {{{i}, {j}}} borders only one face"
-                )
+        # Corner c = 3 * face + slot is the directed edge from that slot to
+        # the next. Each directed edge must appear in exactly one face, and
+        # its reverse in exactly one other; together that is the closed
+        # oriented surface condition on edges. Keys use dense vertex ranks,
+        # so they stay far from int64 overflow whatever the ids are.
+        src, dst = faces.ravel(), nxt.ravel()
+        ids, rank = np.unique(src, return_inverse=True)
+        rank_dst = np.roll(rank.reshape(faces.shape), -1, axis=1).ravel()
+        keys = rank * len(ids) + rank_dst
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        repeat = order[1:][sorted_keys[1:] == sorted_keys[:-1]]
+        if len(repeat):
+            c = int(repeat.min())
+            raise BadOrientationError(
+                f"directed edge {(int(src[c]), int(dst[c]))} appears in two faces; "
+                "orientations disagree"
+            )
+        reverse_keys = rank_dst * len(ids) + rank
+        reverse = np.minimum(np.searchsorted(sorted_keys, reverse_keys), len(keys) - 1)
+        lone = sorted_keys[reverse] != reverse_keys
+        if lone.any():
+            c = int(np.argmax(lone))
+            raise NonManifoldEdgeError(
+                f"edge {{{int(src[c])}, {int(dst[c])}}} borders only one face"
+            )
 
-        edge_count = len(face_of) // 2
+        edge_count = len(keys) // 2
         if vertex_count - edge_count + len(faces) != 0:
             raise EulerCharacteristicError(
                 f"V - E + F = {vertex_count - edge_count + len(faces)}, expected 0"
             )
 
-        # Stitch the rotation system: inside face (v, a, b) the
-        # counterclockwise successor of edge v->a around v is v->b.
-        successor = [dict() for _ in range(vertex_count)]
-        for i, j, k in faces:
-            successor[int(i)][int(j)] = int(k)
-            successor[int(j)][int(k)] = int(i)
-            successor[int(k)][int(i)] = int(j)
-        rotation = []
-        for v in range(vertex_count):
-            ring = successor[v]
-            if not ring:
-                raise DisconnectedError(f"vertex {v} lies in no face")
-            start = min(ring)
-            cycle = [start]
-            cur = ring[start]
-            while cur != start:
-                if len(cycle) > len(ring):
-                    raise NonManifoldVertexError(
-                        f"faces around vertex {v} do not close into a cycle"
-                    )
-                cycle.append(cur)
-                cur = ring[cur]
-            if len(cycle) != len(ring):
-                raise NonManifoldVertexError(
-                    f"faces around vertex {v} form more than one cycle"
-                )
-            rotation.append(tuple(cycle))
+        # Edge ids are positions in sorted order; corner_edge inverts it.
+        corner_edge = np.empty_like(order)
+        corner_edge[order] = np.arange(len(order))
+        face_edges = corner_edge.reshape(faces.shape)
+        reverse_index = reverse[order]
+        directed = np.column_stack([src[order], dst[order]])
 
-        seen = np.zeros(vertex_count, dtype=bool)
-        queue = deque([0])
-        seen[0] = True
-        while queue:
-            v = queue.popleft()
-            for u in rotation[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        if not seen.all():
+        # Stitch the rotation system: inside face (v, a, b) the
+        # counterclockwise successor of edge v->a around v is v->b, the
+        # reverse of the face's previous edge b->v. Walk every vertex's
+        # ring at once from its smallest neighbor; a walk that closes
+        # before the degree is reached leaves a second cycle.
+        succ = reverse_index[np.roll(face_edges, 1, axis=1).ravel()[order]]
+        degree = np.bincount(directed[:, 0], minlength=vertex_count)
+        offsets = np.concatenate([[0], np.cumsum(degree)])
+        ring = np.empty_like(succ)
+        split = np.zeros(vertex_count, dtype=bool)
+        verts = np.flatnonzero(degree)
+        cur = offsets[verts]
+        step = 0
+        while len(verts):
+            ring[offsets[verts] + step] = cur
+            cur = succ[cur]
+            step += 1
+            closed = cur == offsets[verts]
+            split[verts[closed & (degree[verts] > step)]] = True
+            verts, cur = verts[~closed], cur[~closed]
+        bad = np.flatnonzero((degree == 0) | split)
+        if len(bad):
+            v = int(bad[0])
+            if degree[v] == 0:
+                raise DisconnectedError(f"vertex {v} lies in no face")
+            raise NonManifoldVertexError(f"faces around vertex {v} form more than one cycle")
+
+        graph = scipy.sparse.csr_matrix(
+            (np.ones(len(ring)), directed[:, 1], offsets), shape=(vertex_count, vertex_count)
+        )
+        if connected_components(graph, directed=False, return_labels=False) > 1:
             raise DisconnectedError("one-skeleton is not connected")
 
-        shift_map = self._resolve_shifts(face_of, shifts)
+        edge_index = EdgeIndex(directed, int(vertex_count))
+        shift_table = self._resolve_shifts(edge_index, directed, reverse_index, order, shifts)
 
-        for i, j, k in faces:
-            total = (
-                shift_map[(int(i), int(j))]
-                + shift_map[(int(j), int(k))]
-                + shift_map[(int(k), int(i))]
+        total = shift_table[face_edges].sum(axis=1)
+        broken = (total != 0).any(axis=1)
+        if broken.any():
+            fi = int(np.argmax(broken))
+            i, j, k = faces[fi]
+            raise CocycleViolationError(
+                f"shifts around face ({i}, {j}, {k}) sum to {tuple(total[fi])}"
             )
-            if total[0] != 0 or total[1] != 0:
-                raise CocycleViolationError(
-                    f"shifts around face ({i}, {j}, {k}) sum to {tuple(total)}"
-                )
-
-        directed = sorted(face_of)
-        edge_index = {e: idx for idx, e in enumerate(directed)}
 
         self.vertex_count = int(vertex_count)
         self.edge_count = edge_count
         self.faces = faces
-        self.rotation = tuple(rotation)
-        self.directed_edges = np.array(directed, dtype=np.int64)
+        self.rotation_offsets = offsets
+        self.rotation_edges = ring
+        self.directed_edges = directed
         self.edge_index = edge_index
-        self.shifts = np.array([shift_map[e] for e in directed], dtype=np.int64)
-        self.reverse_index = np.array(
-            [edge_index[(j, i)] for i, j in directed], dtype=np.int64
-        )
-        self.face_edges = np.array(
-            [
-                (edge_index[(int(i), int(j))], edge_index[(int(j), int(k))], edge_index[(int(k), int(i))])
-                for i, j, k in faces
-            ],
-            dtype=np.int64,
-        )
-        opposite = np.empty(len(directed), dtype=np.int64)
-        for fi, (i, j, k) in enumerate(faces):
-            opposite[edge_index[(int(i), int(j))]] = int(k)
-            opposite[edge_index[(int(j), int(k))]] = int(i)
-            opposite[edge_index[(int(k), int(i))]] = int(j)
-        self.opposite_vertex = opposite
-        face_lookup = np.empty(len(directed), dtype=np.int64)
-        for e, fi in face_of.items():
-            face_lookup[edge_index[e]] = fi
-        self.face_of_edge = face_lookup
+        self.edge_ids = edge_index.ids
+        self.shifts = shift_table
+        self.reverse_index = reverse_index
+        self.face_edges = face_edges
+        self.opposite_vertex = np.roll(faces, -2, axis=1).ravel()[order]
+        self.face_of_edge = order // 3
         self._cache = {}
 
     @staticmethod
-    def _resolve_shifts(face_of, shifts):
-        given = {}
+    def _resolve_shifts(edge_index, directed, rev, order, shifts):
+        # order[e] is edge e's corner; conflicts name the orientation met first.
+        given = np.zeros((len(rev), 2), dtype=np.int64)
+        has = np.zeros(len(rev), dtype=bool)
         if shifts:
-            for key, value in dict(shifts).items():
-                i, j = int(key[0]), int(key[1])
-                if (i, j) not in face_of:
-                    raise MeshError(f"shift given for non-edge ({i}, {j})")
-                given[(i, j)] = np.array([int(value[0]), int(value[1])], dtype=np.int64)
-        resolved = {}
-        for i, j in face_of:
-            if (i, j) in resolved:
-                continue
-            fwd = given.get((i, j))
-            bwd = given.get((j, i))
-            if fwd is not None and bwd is not None:
-                if fwd[0] != -bwd[0] or fwd[1] != -bwd[1]:
-                    raise ShiftConflictError(
-                        f"shifts for ({i}, {j}) and ({j}, {i}) are not antisymmetric"
-                    )
-            elif fwd is None and bwd is None:
-                fwd = np.zeros(2, dtype=np.int64)
-            elif fwd is None:
-                fwd = -bwd
-            resolved[(i, j)] = fwd
-            resolved[(j, i)] = -fwd
-        return resolved
+            items = [(int(k[0]), int(k[1]), v) for k, v in dict(shifts).items()]
+            pos = edge_index.ids([r[0] for r in items], [r[1] for r in items])
+            if (pos < 0).any():
+                i, j, _ = items[int(np.argmax(pos < 0))]
+                raise MeshError(f"shift given for non-edge ({i}, {j})")
+            given[pos] = [(int(v[0]), int(v[1])) for _, _, v in items]
+            has[pos] = True
+        conflict = (order < order[rev]) & has & has[rev] & (given != -given[rev]).any(axis=1)
+        if conflict.any():
+            e = np.flatnonzero(conflict)
+            i, j = directed[e[np.argmin(order[e])]].tolist()
+            raise ShiftConflictError(
+                f"shifts for ({i}, {j}) and ({j}, {i}) are not antisymmetric"
+            )
+        return np.where(has[:, None], given, np.where(has[rev][:, None], -given[rev], 0))
+
+    @cached_property
+    def rotation(self):
+        """Per-vertex tuple of neighbor ids in counterclockwise order."""
+        neighbors = self.directed_edges[self.rotation_edges, 1].tolist()
+        bounds = self.rotation_offsets.tolist()
+        return tuple(tuple(neighbors[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def degree(self, v):
-        return len(self.rotation[v])
+        return int(self.rotation_offsets[v + 1] - self.rotation_offsets[v])
 
     def shift(self, i, j):
         """Lattice shift of the directed edge (i, j) as an int array."""
         return self.shifts[self.edge_index[(i, j)]]
-
-    def neighbors(self, v):
-        """Neighbor ids of v in counterclockwise order."""
-        return self.rotation[v]
 
 
 def build_mesh(faces, shifts=None, vertex_count=None):
@@ -256,56 +297,49 @@ def rotation_order(mesh, v):
     return tuple((v, u) for u in mesh.rotation[v])
 
 
-def _shortest_loop(mesh, target):
+def _shortest_loop(mesh, steps, target):
     """Shortest closed walk whose shift sum equals target, as a vertex tuple.
 
     Breadth-first search over (vertex, accumulated shift) states, shift
-    components clamped to [-V, V]. Over all start vertices the first
-    strictly shortest loop found wins, which makes the result
+    components clamped to [-V, V]; ``steps[v]`` lists the (neighbor,
+    bx, by) moves from v in rotation order. Over all start vertices the
+    first strictly shortest loop found wins, which makes the result
     deterministic.
     """
     n = mesh.vertex_count
     tx, ty = int(target[0]), int(target[1])
-    shifts = mesh.shifts
-    edge_index = mesh.edge_index
     best = None
     for start in range(n):
         goal = (start, tx, ty)
-        root = (start, 0, 0)
-        parent = {root: None}
-        frontier = [root]
+        parent = {(start, 0, 0): None}
+        frontier = [(start, 0, 0)]
         depth = 0
-        done = False
-        while frontier and not done:
+        found = None
+        while frontier and found is None:
             depth += 1
             if best is not None and depth >= len(best):
                 break
             nxt = []
             for state in frontier:
-                v, sx, sy = state
-                for u in mesh.rotation[v]:
-                    b = shifts[edge_index[(v, u)]]
-                    nsx = sx + int(b[0])
-                    nsy = sy + int(b[1])
-                    if abs(nsx) > n or abs(nsy) > n:
+                for u, bx, by in steps[state[0]]:
+                    ns = (u, state[1] + bx, state[2] + by)
+                    if abs(ns[1]) > n or abs(ns[2]) > n:
                         continue
-                    ns = (u, nsx, nsy)
                     if ns == goal:
-                        path = [u]
-                        back = state
-                        while back is not None:
-                            path.append(back[0])
-                            back = parent[back]
-                        path.reverse()
-                        best = tuple(path[:-1])
-                        done = True
+                        found = state
                         break
                     if ns not in parent:
                         parent[ns] = state
                         nxt.append(ns)
-                if done:
+                if found is not None:
                     break
             frontier = nxt
+        if found is not None:
+            path = []
+            while found is not None:
+                path.append(found[0])
+                found = parent[found]
+            best = tuple(reversed(path))
     if best is None:
         raise NoGeneratorLoopError(
             f"no loop with shift sum ({tx}, {ty}) within the search bound"
@@ -317,9 +351,13 @@ def generator_loops(mesh):
     """Shortest loops with shift sums (1,0) and (0,1), cached on the mesh."""
     cached = mesh._cache.get("generator_loops")
     if cached is None:
+        ring = mesh.rotation_edges
+        moves = np.column_stack([mesh.directed_edges[ring, 1], mesh.shifts[ring]]).tolist()
+        bounds = mesh.rotation_offsets.tolist()
+        steps = [tuple(map(tuple, moves[a:b])) for a, b in zip(bounds, bounds[1:])]
         cached = GeneratorLoops(
-            horizontal=_shortest_loop(mesh, (1, 0)),
-            vertical=_shortest_loop(mesh, (0, 1)),
+            horizontal=_shortest_loop(mesh, steps, (1, 0)),
+            vertical=_shortest_loop(mesh, steps, (0, 1)),
         )
         mesh._cache["generator_loops"] = cached
     return cached

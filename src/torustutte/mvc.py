@@ -19,7 +19,10 @@ from .tutte import WeightAssignment
 
 
 def _tan_half_angle(u, v):
-    """tan of half the unsigned angle between u and v via cross and dot."""
+    """tan of half the unsigned angle between u and v via cross and dot.
+
+    Vectors are indexed by component first, so (2, N) arrays give N values.
+    """
     cross = abs(u[0] * v[1] - u[1] * v[0])
     dot = u[0] * v[0] + u[1] * v[1]
     norms = np.hypot(*u) * np.hypot(*v)
@@ -42,19 +45,13 @@ def mean_value_weights(mesh, placement):
     if report.min_area < AREA_TOL:
         raise NotEmbeddedError("degenerate face")
 
-    vecs = edge_vectors(mesh, placement)
-    rev = mesh.reverse_index
+    vecs = edge_vectors(mesh, placement).T
+    src = mesh.directed_edges[:, 0]
     opposite = mesh.opposite_vertex
-    values = np.empty(len(vecs))
-    for k, (i, j) in enumerate(mesh.directed_edges):
-        i = int(i)
-        u = vecs[k]
-        # Third vertices of the faces on either side of {i, j}.
-        k1 = int(opposite[k])
-        k2 = int(opposite[rev[k]])
-        t1 = _tan_half_angle(u, vecs[mesh.edge_index[(i, k1)]])
-        t2 = _tan_half_angle(u, vecs[mesh.edge_index[(i, k2)]])
-        values[k] = (t1 + t2) / np.hypot(u[0], u[1])
+    # Edges from i to the third vertices of the faces on either side of {i, j}.
+    left = vecs[:, mesh.edge_ids(src, opposite)]
+    right = vecs[:, mesh.edge_ids(src, opposite[mesh.reverse_index])]
+    values = (_tan_half_angle(vecs, left) + _tan_half_angle(vecs, right)) / np.hypot(*vecs)
     return WeightAssignment(values)
 
 

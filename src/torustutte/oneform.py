@@ -52,22 +52,28 @@ def direction_form(mesh, placement, direction):
     return DiscreteOneForm(edge_vectors(mesh, placement) @ direction)
 
 
-def _cyclic_sign_changes(values, tol=ZERO_TOL):
-    """Sign changes around a cyclic value sequence, zeros skipped.
+def _sign_changes(values, offsets, tol=ZERO_TOL):
+    """Cyclic sign changes in every segment values[offsets[s]:offsets[s + 1]].
 
-    Returns None when every value is zero.
+    Zeros are skipped; a segment whose values are all zero gives -1.
     """
-    signs = [1 if v > 0 else -1 for v in values if abs(v) > tol]
-    if not signs:
-        return None
-    return sum(1 for a, b in zip(signs, signs[1:] + signs[:1]) if a != b)
+    segment = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    keep = np.abs(values) > tol
+    segment, positive = segment[keep], values[keep] > 0
+    counts = np.bincount(segment, minlength=len(offsets) - 1)
+    ends = np.cumsum(counts)[counts > 0]
+    # the next kept value in the same segment, wrapping at its end
+    following = np.arange(1, len(segment) + 1)
+    following[ends - 1] = ends - counts[counts > 0]
+    changes = np.bincount(segment, positive != positive[following], len(counts))
+    return np.where(counts > 0, changes, -1).astype(int)
 
 
 def sign_changes_vertex(mesh, form, v, tol=ZERO_TOL):
     """Cyclic sign changes of the form on outgoing edges at v."""
-    vals = [form.values[mesh.edge_index[(v, u)]] for u in mesh.rotation[v]]
-    sc = _cyclic_sign_changes(vals, tol)
-    if sc is None:
+    lo, hi = mesh.rotation_offsets[v:v + 2]
+    sc = int(_sign_changes(form.values[mesh.rotation_edges[lo:hi]], [0, hi - lo], tol)[0])
+    if sc < 0:
         raise DegenerateVertexError(f"form vanishes on every edge at vertex {v}")
     return sc
 
@@ -78,9 +84,8 @@ def index_vertex(mesh, form, v, tol=ZERO_TOL):
 
 
 def sign_changes_face(mesh, form, face_index, tol=ZERO_TOL):
-    vals = form.values[mesh.face_edges[face_index]]
-    sc = _cyclic_sign_changes(vals, tol)
-    if sc is None:
+    sc = int(_sign_changes(form.values[mesh.face_edges[face_index]], [0, 3], tol)[0])
+    if sc < 0:
         raise DegenerateFaceError(
             f"form vanishes on every edge of face {face_index}"
         )
@@ -115,43 +120,22 @@ def index_theorem_check(mesh, form, tol=ZERO_TOL):
     """Compute all vertex and face indices and their exact total."""
     values = form.values
     zero = np.abs(values) <= tol
-    degenerate_edges = [
-        (int(i), int(j))
-        for (i, j), z in zip(mesh.directed_edges, zero)
-        if z and int(i) < int(j)
-    ]
+    src, dst = mesh.directed_edges.T
+    degenerate_edges = list(map(tuple, mesh.directed_edges[zero & (src < dst)].tolist()))
 
-    doubled_total = 0
-    vertex_indices = []
-    degenerate_vertices = []
-    for v in range(mesh.vertex_count):
-        vals = [values[mesh.edge_index[(v, u)]] for u in mesh.rotation[v]]
-        sc = _cyclic_sign_changes(vals, tol)
-        if sc is None:
-            vertex_indices.append(None)
-            degenerate_vertices.append(v)
-        else:
-            vertex_indices.append((2 - sc) / 2)
-            doubled_total += 2 - sc
-
-    face_indices = []
-    degenerate_faces = []
-    for fi in range(len(mesh.faces)):
-        sc = _cyclic_sign_changes(values[mesh.face_edges[fi]], tol)
-        if sc is None:
-            face_indices.append(None)
-            degenerate_faces.append(fi)
-        else:
-            face_indices.append((2 - sc) / 2)
-            doubled_total += 2 - sc
-
+    by_vertex = _sign_changes(values[mesh.rotation_edges], mesh.rotation_offsets, tol)
+    by_face = _sign_changes(
+        values[mesh.face_edges.ravel()], np.arange(0, mesh.face_edges.size + 1, 3), tol
+    )
+    defined = np.concatenate([by_vertex, by_face])
+    defined = defined[defined >= 0]
     return IndexReport(
-        vertex_indices=vertex_indices,
-        face_indices=face_indices,
-        degenerate_vertices=degenerate_vertices,
+        vertex_indices=[None if sc < 0 else (2 - sc) / 2 for sc in by_vertex.tolist()],
+        face_indices=[None if sc < 0 else (2 - sc) / 2 for sc in by_face.tolist()],
+        degenerate_vertices=np.flatnonzero(by_vertex < 0).tolist(),
         degenerate_edges=degenerate_edges,
-        degenerate_faces=degenerate_faces,
-        total=doubled_total / 2,
+        degenerate_faces=np.flatnonzero(by_face < 0).tolist(),
+        total=int((2 - defined).sum()) / 2,
         nonvanishing=not bool(zero.any()),
     )
 

@@ -32,14 +32,12 @@ def load_json(path):
 
 
 def mesh_to_json(mesh):
-    shifts = []
-    for (i, j), (bx, by) in zip(mesh.directed_edges, mesh.shifts):
-        if i < j and (bx != 0 or by != 0):
-            shifts.append([int(i), int(j), int(bx), int(by)])
+    src, dst = mesh.directed_edges.T
+    keep = (src < dst) & mesh.shifts.any(axis=1)
     return {
         "vertex_count": mesh.vertex_count,
-        "faces": [[int(a), int(b), int(c)] for a, b, c in mesh.faces],
-        "shifts": shifts,
+        "faces": mesh.faces.tolist(),
+        "shifts": np.column_stack([mesh.directed_edges, mesh.shifts])[keep].tolist(),
     }
 
 

@@ -75,13 +75,17 @@ def uniform_weights(mesh, value=1.0):
 def weights_from_dict(mesh, mapping):
     """Build a WeightAssignment from a directed-edge keyed mapping."""
     mapping = {(int(i), int(j)): float(w) for (i, j), w in mapping.items()}
-    missing = [e for e in mesh.edge_index if e not in mapping]
-    if missing:
-        raise ValueError(f"missing weight for directed edge {missing[0]}")
-    extra = [e for e in mapping if e not in mesh.edge_index]
-    if extra:
-        raise ValueError(f"weight given for non-edge {extra[0]}")
-    values = np.array([mapping[(int(i), int(j))] for i, j in mesh.directed_edges])
+    keys = list(mapping)
+    ids = mesh.edge_ids([i for i, _ in keys], [j for _, j in keys])
+    covered = np.zeros(len(mesh.directed_edges), dtype=bool)
+    covered[ids[ids >= 0]] = True
+    if not covered.all():
+        i, j = mesh.directed_edges[np.argmin(covered)].tolist()
+        raise ValueError(f"missing weight for directed edge {(i, j)}")
+    if (ids < 0).any():
+        raise ValueError(f"weight given for non-edge {keys[int(np.argmax(ids < 0))]}")
+    values = np.empty(len(covered))
+    values[ids] = list(mapping.values())
     wa = WeightAssignment(values)
     _validated_values(mesh, wa)
     return wa

@@ -8,8 +8,21 @@ breadth-first search. Tests compare the production code against these.
 """
 
 import math
+from collections import deque
 
 import numpy as np
+
+from torustutte.errors import (
+    BadFaceError,
+    BadOrientationError,
+    CocycleViolationError,
+    DisconnectedError,
+    EulerCharacteristicError,
+    MeshError,
+    NonManifoldEdgeError,
+    NonManifoldVertexError,
+    ShiftConflictError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +84,168 @@ def pinched_sphere_faces():
         return relabel[v]
 
     return [tuple(lab(v) for v in face) for face in faces]
+
+
+def random_diagonal_grid(m, rng):
+    """m x m grid torus with a seeded diagonal per cell: (faces, shifts).
+
+    Vertex x + m*y sits at (x/m, y/m), so ``grid_coords(m)`` embeds it.
+    """
+    faces, shifts = [], {}
+    for y in range(m):
+        for x in range(m):
+            corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+            ids = [cx % m + m * (cy % m) for cx, cy in corners]
+            offs = [(cx // m, cy // m) for cx, cy in corners]
+            flip = rng.integers(2) == 1
+            for tri in ((0, 1, 3), (1, 2, 3)) if flip else ((0, 1, 2), (0, 2, 3)):
+                faces.append(tuple(ids[t] for t in tri))
+                for a, b in zip(tri, tri[1:] + tri[:1]):
+                    shift = (offs[b][0] - offs[a][0], offs[b][1] - offs[a][1])
+                    shifts[(ids[a], ids[b])] = shift
+    return faces, shifts
+
+
+def grid_coords(m):
+    return np.array([(x / m, y / m) for y in range(m) for x in range(m)])
+
+
+# ---------------------------------------------------------------------------
+# Reference mesh builder
+
+def oracle_mesh_tables(faces, shifts=None, vertex_count=None):
+    """Every mesh table, built through nested dict passes.
+
+    The dict-based constructor the array build replaced: same checks,
+    same order, same messages. Returns the tables by attribute name.
+    """
+    faces = np.asarray(faces, dtype=np.int64)
+    if faces.ndim != 2 or faces.shape[1] != 3 or faces.shape[0] == 0:
+        raise BadFaceError("faces must be a non-empty list of vertex triples")
+    if faces.min() < 0:
+        raise BadFaceError("negative vertex id in face list")
+    inferred = int(faces.max()) + 1
+    if vertex_count is None:
+        vertex_count = inferred
+    elif vertex_count < inferred:
+        raise BadFaceError(
+            f"face references vertex {inferred - 1} but vertex_count is {vertex_count}"
+        )
+    if vertex_count < 7:
+        raise MeshError(
+            f"torus triangulations need at least 7 vertices, got {vertex_count}"
+        )
+    for f in faces:
+        if len(set(int(v) for v in f)) != 3:
+            raise BadFaceError(f"face {tuple(int(v) for v in f)} repeats a vertex")
+
+    face_of = {}
+    for fi, (i, j, k) in enumerate(faces):
+        for a, b in ((i, j), (j, k), (k, i)):
+            key = (int(a), int(b))
+            if key in face_of:
+                raise BadOrientationError(
+                    f"directed edge {key} appears in two faces; orientations disagree"
+                )
+            face_of[key] = fi
+    for i, j in face_of:
+        if (j, i) not in face_of:
+            raise NonManifoldEdgeError(f"edge {{{i}, {j}}} borders only one face")
+
+    edge_count = len(face_of) // 2
+    if vertex_count - edge_count + len(faces) != 0:
+        raise EulerCharacteristicError(
+            f"V - E + F = {vertex_count - edge_count + len(faces)}, expected 0"
+        )
+
+    successor = [dict() for _ in range(vertex_count)]
+    for i, j, k in faces:
+        successor[int(i)][int(j)] = int(k)
+        successor[int(j)][int(k)] = int(i)
+        successor[int(k)][int(i)] = int(j)
+    rotation = []
+    for v in range(vertex_count):
+        ring = successor[v]
+        if not ring:
+            raise DisconnectedError(f"vertex {v} lies in no face")
+        start = min(ring)
+        cycle = [start]
+        cur = ring[start]
+        while cur != start:
+            if len(cycle) > len(ring):
+                raise NonManifoldVertexError(
+                    f"faces around vertex {v} do not close into a cycle"
+                )
+            cycle.append(cur)
+            cur = ring[cur]
+        if len(cycle) != len(ring):
+            raise NonManifoldVertexError(f"faces around vertex {v} form more than one cycle")
+        rotation.append(tuple(cycle))
+
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for u in rotation[queue.popleft()]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    if len(seen) != vertex_count:
+        raise DisconnectedError("one-skeleton is not connected")
+
+    given = {}
+    for key, value in dict(shifts or {}).items():
+        i, j = int(key[0]), int(key[1])
+        if (i, j) not in face_of:
+            raise MeshError(f"shift given for non-edge ({i}, {j})")
+        given[(i, j)] = np.array([int(value[0]), int(value[1])], dtype=np.int64)
+    shift_map = {}
+    for i, j in face_of:
+        if (i, j) in shift_map:
+            continue
+        fwd, bwd = given.get((i, j)), given.get((j, i))
+        if fwd is not None and bwd is not None:
+            if fwd[0] != -bwd[0] or fwd[1] != -bwd[1]:
+                raise ShiftConflictError(
+                    f"shifts for ({i}, {j}) and ({j}, {i}) are not antisymmetric"
+                )
+        elif fwd is None and bwd is None:
+            fwd = np.zeros(2, dtype=np.int64)
+        elif fwd is None:
+            fwd = -bwd
+        shift_map[(i, j)] = fwd
+        shift_map[(j, i)] = -fwd
+
+    for i, j, k in faces:
+        total = (
+            shift_map[(int(i), int(j))]
+            + shift_map[(int(j), int(k))]
+            + shift_map[(int(k), int(i))]
+        )
+        if total[0] != 0 or total[1] != 0:
+            raise CocycleViolationError(
+                f"shifts around face ({i}, {j}, {k}) sum to {tuple(total)}"
+            )
+
+    directed = sorted(face_of)
+    index = {e: pos for pos, e in enumerate(directed)}
+    opposite = np.empty(len(directed), dtype=np.int64)
+    for i, j, k in faces:
+        opposite[index[(int(i), int(j))]] = int(k)
+        opposite[index[(int(j), int(k))]] = int(i)
+        opposite[index[(int(k), int(i))]] = int(j)
+    return {
+        "edge_count": edge_count,
+        "directed_edges": np.array(directed, dtype=np.int64),
+        "shifts": np.array([shift_map[e] for e in directed], dtype=np.int64),
+        "reverse_index": np.array([index[(j, i)] for i, j in directed], dtype=np.int64),
+        "face_edges": np.array(
+            [[index[(int(a), int(b))] for a, b in ((i, j), (j, k), (k, i))] for i, j, k in faces],
+            dtype=np.int64,
+        ),
+        "opposite_vertex": opposite,
+        "face_of_edge": np.array([face_of[e] for e in directed], dtype=np.int64),
+        "rotation": tuple(rotation),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +354,59 @@ def oracle_mean_value(mesh, placement):
         assert len(tans) == 2
         out[k] = (tans[0] + tans[1]) / length
     return out
+
+
+def oracle_mean_value_per_edge(mesh, placement):
+    """The same tangent formula as mean_value_weights, one edge at a time.
+
+    Looks up the two neighbouring edges (i, k) through ``edge_index``.
+    """
+    coords = placement.coords
+    src, dst = mesh.directed_edges.T
+    vecs = coords[dst] - coords[src] + mesh.shifts
+
+    def tan_half(u, v):
+        cross = abs(u[0] * v[1] - u[1] * v[0])
+        dot = u[0] * v[0] + u[1] * v[1]
+        return (np.hypot(*u) * np.hypot(*v) - dot) / cross
+
+    out = np.empty(len(vecs))
+    for k, (i, j) in enumerate(mesh.directed_edges):
+        u = vecs[k]
+        k1 = int(mesh.opposite_vertex[k])
+        k2 = int(mesh.opposite_vertex[mesh.reverse_index[k]])
+        t1 = tan_half(u, vecs[mesh.edge_index[(int(i), k1)]])
+        t2 = tan_half(u, vecs[mesh.edge_index[(int(i), k2)]])
+        out[k] = (t1 + t2) / np.hypot(u[0], u[1])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Index oracle
+
+def oracle_sign_changes(values, tol):
+    """Cyclic sign changes of a value list, zeros skipped; None if all zero."""
+    signs = [1 if v > 0 else -1 for v in values if abs(v) > tol]
+    if not signs:
+        return None
+    return sum(1 for a, b in zip(signs, signs[1:] + signs[:1]) if a != b)
+
+
+def oracle_indices(mesh, values, tol):
+    """Vertex and face indices, None where degenerate, cell by cell.
+
+    Vertex rings come from ``rotation`` and ``edge_index`` lookups.
+    """
+    def index(vals):
+        sc = oracle_sign_changes(vals, tol)
+        return None if sc is None else (2 - sc) / 2
+
+    vertex = [
+        index([values[mesh.edge_index[(v, u)]] for u in mesh.rotation[v]])
+        for v in range(mesh.vertex_count)
+    ]
+    face = [index(list(values[e])) for e in mesh.face_edges]
+    return vertex, face
 
 
 # ---------------------------------------------------------------------------

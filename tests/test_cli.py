@@ -247,3 +247,16 @@ def test_quiet_suppresses_output(workspace, capsys):
     code, out = run(capsys, ["validate", "--mesh", paths["mesh"], "--quiet"])
     assert code == 0
     assert out.out == ""
+
+
+@pytest.mark.parametrize("error", [OverflowError, MemoryError, FloatingPointError])
+def test_arithmetic_and_memory_errors_exit_3(workspace, capsys, monkeypatch, error):
+    _, _, paths = workspace
+
+    def failing(args):
+        raise error("simulated")
+
+    monkeypatch.setattr("torustutte.cli.cmd_energy", failing)
+    code, out = run(capsys, ["energy", "--mesh", paths["mesh"], "--weights", paths["weights"]])
+    assert code == 3
+    assert "error: simulated" in out.err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from torustutte import build_mesh, gen_grid, generator_loops, rotation_order
+from torustutte import build_mesh, gen_grid, gen_k7, generator_loops, rotation_order
 from torustutte.errors import (
     BadFaceError,
     BadOrientationError,
@@ -339,3 +339,107 @@ def test_no_generator_loop(grid3):
     rebuilt = build_mesh([tuple(f) for f in mesh.faces], doubled)
     with pytest.raises(NoGeneratorLoopError):
         generator_loops(rebuilt)
+
+
+# ---------------------------------------------------------------------------
+# Array build against the dict-based reference builder
+
+TABLES = (
+    "edge_count", "directed_edges", "shifts", "reverse_index",
+    "face_edges", "opposite_vertex", "face_of_edge", "rotation",
+)
+
+
+def reference_inputs():
+    yield "k7", gen_k7()[0]
+    for m in (3, 4, 5, 6):
+        yield f"grid{m}", gen_grid(m)[0]
+    faces, shifts = helpers.random_diagonal_grid(8, np.random.default_rng(11))
+    yield "diagonal8", build_mesh(faces, shifts)
+
+
+@pytest.mark.parametrize("name, mesh", list(reference_inputs()))
+def test_tables_match_reference_builder(name, mesh):
+    expected = helpers.oracle_mesh_tables(
+        [tuple(f) for f in mesh.faces], canonical_shift_dict(mesh), mesh.vertex_count
+    )
+    for table in TABLES:
+        got = getattr(mesh, table)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.int64, table
+            assert np.array_equal(got, expected[table]), table
+        else:
+            assert got == expected[table], table
+    offsets, ring = mesh.rotation_offsets, mesh.rotation_edges
+    for v in range(mesh.vertex_count):
+        edges = mesh.directed_edges[ring[offsets[v]:offsets[v + 1]]]
+        assert tuple(edges[:, 1]) == mesh.rotation[v]
+        assert (edges[:, 0] == v).all()
+
+
+def corrupted_inputs():
+    mesh, _ = gen_grid(3)
+    faces = [tuple(int(v) for v in f) for f in mesh.faces]
+    shifts = canonical_shift_dict(mesh)
+    seam = next(e for e, s in shifts.items() if s != (0, 0))
+    yield "repeat", [(0, 0, 4)] + faces[1:], shifts, None
+    yield "flipped", faces[:5] + [faces[5][::-1]] + faces[6:], shifts, None
+    yield "duplicate", faces + [faces[0]], shifts, None
+    yield "missing", faces[:-1], shifts, None
+    yield "huge id", [(0, 1, 2**40)] + faces[1:], None, None
+    yield "sphere", helpers.sphere_faces(), None, None
+    yield "pinched", helpers.pinched_sphere_faces(), None, None
+    yield "two tori", faces + [tuple(v + 9 for v in f) for f in faces], shifts, None
+    yield "too few", faces, shifts, 5
+    yield "isolated", faces, shifts, 10
+    yield "non-edge", faces, {**shifts, (0, 5): (1, 0)}, None
+    yield "conflict", faces, {**shifts, seam[::-1]: shifts[seam]}, None
+    yield "cocycle", faces, {**shifts, seam: (shifts[seam][0], shifts[seam][1] + 1)}, None
+    yield "zero shifts", faces, {}, None
+
+
+@pytest.mark.parametrize("name, faces, shifts, vertex_count", list(corrupted_inputs()))
+def test_errors_match_reference_builder(name, faces, shifts, vertex_count):
+    """Same MeshError subclass and message as the dict-based builder."""
+    try:
+        helpers.oracle_mesh_tables(faces, shifts, vertex_count)
+    except MeshError as exc:
+        expected = exc
+    else:
+        expected = None
+    if expected is None:
+        build_mesh(faces, shifts, vertex_count)
+        return
+    with pytest.raises(type(expected)) as caught:
+        build_mesh(faces, shifts, vertex_count)
+    assert type(caught.value) is type(expected)
+    assert str(caught.value) == str(expected)
+
+
+def test_huge_vertex_id_names_its_edge(grid3):
+    """Edge keys cannot overflow: a 2**40 id still names the lone edge."""
+    mesh, _ = grid3
+    faces = [list(f) for f in mesh.faces]
+    faces[0][2] = 2**40
+    with pytest.raises(NonManifoldEdgeError, match=r"\{1, 1099511627776\}"):
+        build_mesh(faces)
+
+
+def test_edge_index_view(grid4, k7):
+    for mesh in (grid4[0], k7[0]):
+        view = mesh.edge_index
+        assert len(view) == 2 * mesh.edge_count
+        assert list(view) == [tuple(e) for e in mesh.directed_edges.tolist()]
+        for k, (i, j) in enumerate(mesh.directed_edges.tolist()):
+            assert view[(i, j)] == k
+            assert view[(np.int64(i), np.int64(j))] == k
+        n = mesh.vertex_count
+        for bad in ((n, 0), (0, n), (-1, 0), (0, -1), (2**70, 0), (0, 0), (0,), "ab"):
+            with pytest.raises(KeyError):
+                view[bad]
+            assert bad not in view
+    mesh, _ = grid4
+    assert (0, 2) not in mesh.edge_index  # same row, not adjacent
+    ids = mesh.edge_ids(mesh.directed_edges[:, 0], mesh.directed_edges[:, 1])
+    assert np.array_equal(ids, np.arange(len(mesh.directed_edges)))
+    assert mesh.edge_ids([0, 0, -1, 16], [1, 2, 1, 0]).tolist() == [view[(0, 1)], -1, -1, -1]

@@ -7,7 +7,9 @@ import helpers
 from torustutte import (
     Placement,
     WeightAssignment,
+    build_mesh,
     check_balanced,
+    gen_grid,
     is_admissible,
     mean_value_weights,
     tutte_map,
@@ -94,3 +96,19 @@ def test_check_balanced_detects_imbalance(grid3):
     coords[4] += [0.02, -0.01]
     residual = check_balanced(mesh, Placement(coords), weights)
     assert residual > 1e-3
+
+
+@pytest.mark.parametrize("m, diagonal", [(3, False), (5, False), (8, True)])
+def test_batched_weights_match_per_edge_formula(m, diagonal):
+    """The batched lookups give the per-edge loop's weights."""
+    rng = np.random.default_rng(m)
+    if diagonal:
+        mesh = build_mesh(*helpers.random_diagonal_grid(m, rng))
+    else:
+        mesh, _ = gen_grid(m)
+    coords = helpers.grid_coords(m) + rng.uniform(-0.1, 0.1, (m * m, 2)) / m
+    coords[0] = 0.0
+    placement = Placement(coords)
+    got = mean_value_weights(mesh, placement).values
+    expected = helpers.oracle_mean_value_per_edge(mesh, placement)
+    assert np.abs(got - expected).max() <= 1e-15

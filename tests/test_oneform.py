@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import helpers
+
 from torustutte import (
     Placement,
     direction_form,
@@ -217,3 +219,36 @@ def test_generic_direction_retries_deterministically(grid4):
     again = generic_direction_form(mesh, placement, start_angle=0.0)
     assert again[1] == angle
     assert np.array_equal(again[0].values, form.values)
+
+
+@pytest.mark.parametrize("fixture", ["grid4", "k7"])
+def test_indices_match_cell_by_cell_oracle(fixture, request):
+    """Segmented sign-change counts agree with a per-cell count, zeros included."""
+    mesh, _ = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(29)
+    rev = mesh.reverse_index
+    for zero_share in (0.0, 0.3, 0.9, 1.0):
+        values = rng.normal(size=len(rev))
+        values[rng.uniform(size=len(rev)) < zero_share] = 0.0
+        values = np.where(np.arange(len(rev)) < rev, values, -values[rev])
+        form = one_form_from_values(mesh, values)
+        report = index_theorem_check(mesh, form)
+        vertex, face = helpers.oracle_indices(mesh, values, 1e-13)
+        assert report.vertex_indices == vertex
+        assert report.face_indices == face
+        assert report.degenerate_vertices == [v for v, x in enumerate(vertex) if x is None]
+        assert report.degenerate_faces == [f for f, x in enumerate(face) if x is None]
+        defined = [x for x in vertex + face if x is not None]
+        assert report.total == sum(defined)
+        for v, expected in enumerate(vertex):
+            if expected is None:
+                with pytest.raises(DegenerateVertexError):
+                    index_vertex(mesh, form, v)
+            else:
+                assert index_vertex(mesh, form, v) == expected
+        for f, expected in enumerate(face):
+            if expected is None:
+                with pytest.raises(DegenerateFaceError):
+                    index_face(mesh, form, f)
+            else:
+                assert index_face(mesh, form, f) == expected

@@ -59,6 +59,25 @@ def test_weights_from_dict_rejects_missing_and_extra(grid3):
         weights_from_dict(mesh, extra)
 
 
+def test_weights_from_dict_names_first_missing_and_extra(grid3):
+    """Missing edges are named in directed_edges order, extras in mapping order."""
+    mesh, _ = grid3
+    full = uniform_weights(mesh).to_dict(mesh)
+    partial = {e: w for e, w in full.items() if e not in ((4, 0), (1, 0), (8, 7))}
+    with pytest.raises(ValueError, match=r"missing weight for directed edge \(1, 0\)$"):
+        weights_from_dict(mesh, partial)
+    extra = {(8, 3): 1.0, (0, 5): 1.0, **full, (2**70, 0): 1.0, (-1, 3): 1.0}
+    with pytest.raises(ValueError, match=r"weight given for non-edge \(8, 3\)$"):
+        weights_from_dict(mesh, extra)
+    extra.pop((8, 3))
+    with pytest.raises(ValueError, match=r"weight given for non-edge \(0, 5\)$"):
+        weights_from_dict(mesh, extra)
+    extra.pop((0, 5))
+    huge = r"weight given for non-edge \(1180591620717411303424, 0\)$"
+    with pytest.raises(ValueError, match=huge):
+        weights_from_dict(mesh, extra)
+
+
 def test_nonpositive_weights_rejected(grid3):
     mesh, _ = grid3
     values = np.ones(54)
