@@ -63,53 +63,57 @@ def _check_sizes(mesh, placement):
         )
 
 
+def _lifted(mesh, placement, edges):
+    """Lifted vectors of ``edges``, any index into mesh.directed_edges, shape (..., 2)."""
+    _check_sizes(mesh, placement)
+    ends = mesh.directed_edges[edges]
+    return placement.coords[ends[..., 1]] - placement.coords[ends[..., 0]] + mesh.shifts[edges]
+
+
 def edge_vectors(mesh, placement):
     """Lifted vectors of every directed edge, aligned with mesh.directed_edges."""
-    _check_sizes(mesh, placement)
-    src = mesh.directed_edges[:, 0]
-    dst = mesh.directed_edges[:, 1]
-    return placement.coords[dst] - placement.coords[src] + mesh.shifts
+    return _lifted(mesh, placement, slice(None))
 
 
 def lifted_edge_vector(mesh, placement, edge):
     """Lifted vector of one directed edge (i, j)."""
-    _check_sizes(mesh, placement)
     i, j = edge
-    x = placement.coords
-    return x[j] - x[i] + mesh.shifts[mesh.edge_index[(int(i), int(j))]]
+    return _lifted(mesh, placement, mesh.edge_index[(int(i), int(j))])
 
 
 def _cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _signed_areas(fv):
+    """Signed areas from face edge vectors ``fv`` of shape (..., 3, 2)."""
+    return 0.5 * _cross(fv[..., 0, :], -fv[..., 2, :])
+
+
+def _corner_angles(fv):
+    """Unsigned inner angle at every corner, (..., 3) in face vertex order."""
+    w = -np.roll(fv, 1, axis=-2)
+    return np.arctan2(np.abs(_cross(fv, w)), np.einsum("...ci,...ci->...c", fv, w))
+
+
 def face_signed_areas(mesh, placement):
     """Signed area of every face; positive means counterclockwise."""
-    vecs = edge_vectors(mesh, placement)
-    ij = vecs[mesh.face_edges[:, 0]]
-    ik = -vecs[mesh.face_edges[:, 2]]
-    return 0.5 * _cross(ij, ik)
+    return _signed_areas(_lifted(mesh, placement, mesh.face_edges))
 
 
 def face_signed_area(mesh, placement, face_index):
-    return float(face_signed_areas(mesh, placement)[face_index])
-
-
-def _corner_angles(mesh, vecs):
-    """Unsigned inner angle at every corner, (F, 3) in face vertex order."""
-    u = vecs[mesh.face_edges]
-    w = -vecs[np.roll(mesh.face_edges, 1, axis=1)]
-    return np.arctan2(np.abs(_cross(u, w)), np.einsum("fci,fci->fc", u, w))
+    return float(_signed_areas(_lifted(mesh, placement, mesh.face_edges[face_index])))
 
 
 def corner_angle(mesh, placement, face_index, vertex):
     """Unsigned inner angle of a face at one of its vertices, in (0, pi)."""
-    if abs(face_signed_area(mesh, placement, face_index)) < AREA_TOL:
+    fv = _lifted(mesh, placement, mesh.face_edges[face_index])
+    if abs(_signed_areas(fv)) < AREA_TOL:
         raise DegenerateFaceError(f"face {face_index} is degenerate")
     corner = np.flatnonzero(mesh.faces[face_index] == int(vertex))
     if not len(corner):
         raise ValueError(f"vertex {vertex} is not a corner of face {face_index}")
-    return float(_corner_angles(mesh, edge_vectors(mesh, placement))[face_index, corner[0]])
+    return float(_corner_angles(fv)[corner[0]])
 
 
 def verify_embedding(mesh, placement, area_tol=AREA_TOL, total_tol=TOTAL_AREA_TOL):
@@ -120,12 +124,12 @@ def verify_embedding(mesh, placement, area_tol=AREA_TOL, total_tol=TOTAL_AREA_TO
     to one. Angle sums per vertex are reported alongside; for an
     embedding each equals 2*pi.
     """
-    areas = face_signed_areas(mesh, placement)
+    fv = _lifted(mesh, placement, mesh.face_edges)
+    areas = _signed_areas(fv)
     total = float(areas.sum())
-    vecs = edge_vectors(mesh, placement)
 
     angle_sums = np.zeros(mesh.vertex_count)
-    np.add.at(angle_sums, mesh.faces.T.ravel(), _corner_angles(mesh, vecs).T.ravel())
+    np.add.at(angle_sums, mesh.faces.T.ravel(), _corner_angles(fv).T.ravel())
 
     is_embedding = bool(areas.min() > area_tol and abs(total - 1.0) <= total_tol)
     return EmbeddingReport(

@@ -12,6 +12,7 @@ from collections import deque
 
 import numpy as np
 
+from torustutte import edge_vectors, face_signed_areas
 from torustutte.errors import (
     BadFaceError,
     BadOrientationError,
@@ -23,6 +24,7 @@ from torustutte.errors import (
     NonManifoldVertexError,
     ShiftConflictError,
 )
+from torustutte.render import _clip_polygon
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +428,101 @@ def oracle_face_areas(mesh, placement):
             + pc[0] * (pa[1] - pb[1])
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Scalar SVG renderer
+
+def _oracle_clip_segment(p, q):
+    """Liang-Barsky clip of segment p->q to the unit square, one boundary at a time.
+
+    Returns (a, b) endpoints or None when the intersection is empty or
+    a single point.
+    """
+    d = (q[0] - p[0], q[1] - p[1])
+    t0, t1 = 0.0, 1.0
+    for axis in (0, 1):
+        for sign in (1.0, -1.0):
+            # sign=+1: x >= 0 boundary, sign=-1: x <= 1 boundary.
+            num = -p[axis] if sign > 0 else p[axis] - 1.0
+            den = d[axis] if sign > 0 else -d[axis]
+            if den == 0.0:
+                if num > 0.0:
+                    return None
+                continue
+            t = num / den
+            if den > 0.0:
+                t0 = max(t0, t)
+            else:
+                t1 = min(t1, t)
+            if t0 >= t1:
+                return None
+    a = (p[0] + t0 * d[0], p[1] + t0 * d[1])
+    b = (p[0] + t1 * d[0], p[1] + t1 * d[1])
+    if abs(a[0] - b[0]) < 1e-12 and abs(a[1] - b[1]) < 1e-12:
+        return None
+    return a, b
+
+
+def oracle_render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
+    """render_svg with a per-edge loop of nine scalar clips, one per unit translate."""
+    offsets = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+    vecs = edge_vectors(mesh, placement)
+    areas = face_signed_areas(mesh, placement)
+    pos = np.mod(placement.coords, 1.0)
+
+    def to_px(p):
+        return f"{p[0] * size:.3f},{(1.0 - p[1]) * size:.3f}"
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect x="0" y="0" width="{size}" height="{size}" fill="#fdfdfb" '
+        'stroke="#888" stroke-width="1"/>',
+    ]
+    if highlight_flipped:
+        for fi in np.nonzero(areas < 0)[0]:
+            i = int(mesh.faces[fi][0])
+            e_ij, e_jk, _ = mesh.face_edges[fi]
+            base = pos[i]
+            tri = [
+                tuple(base),
+                tuple(base + vecs[e_ij]),
+                tuple(base + vecs[e_ij] + vecs[e_jk]),
+            ]
+            for ox, oy in offsets:
+                poly = _clip_polygon([(x + ox, y + oy) for x, y in tri])
+                if len(poly) >= 3:
+                    pts = " ".join(to_px(p) for p in poly)
+                    parts.append(
+                        f'<polygon class="flipped" data-face="{int(fi)}" '
+                        f'points="{pts}" fill="#e4572e" fill-opacity="0.45" stroke="none"/>'
+                    )
+    for k, (i, j) in enumerate(mesh.directed_edges):
+        if i > j:
+            continue
+        a = pos[int(i)]
+        b = a + vecs[k]
+        segs = []
+        for ox, oy in offsets:
+            clip = _oracle_clip_segment((a[0] + ox, a[1] + oy), (b[0] + ox, b[1] + oy))
+            if clip is not None:
+                segs.append(clip)
+        lines = "".join(
+            f'<line x1="{to_px(p).split(",")[0]}" y1="{to_px(p).split(",")[1]}" '
+            f'x2="{to_px(q).split(",")[0]}" y2="{to_px(q).split(",")[1]}" '
+            'stroke="#27496d" stroke-width="1.4"/>'
+            for p, q in segs
+        )
+        parts.append(f'<g class="edge" data-edge="{int(i)}-{int(j)}">{lines}</g>')
+    if labels:
+        for v, p in enumerate(pos):
+            parts.append(
+                f'<text x="{p[0] * size + 4:.1f}" y="{(1.0 - p[1]) * size - 4:.1f}" '
+                f'font-size="{max(10, size // 60)}" fill="#b33">{v}</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from torustutte.serialize import (
     dump_json,
     load_json,
     mesh_to_json,
+    placement_to_json,
     weights_to_json,
 )
 
@@ -227,6 +228,20 @@ def test_render_command(workspace, tmp_path, capsys):
     text = svg_path.read_text()
     assert text.startswith("<svg")
     assert 'width="400"' in text
+
+
+def test_render_non_positive_size_exit_code(workspace, tmp_path, capsys):
+    mesh, placement, paths = workspace
+    place = tmp_path / "p.json"
+    dump_json(placement_to_json(placement), place)
+    svg_path = tmp_path / "torus.svg"
+    code, out = run(capsys, [
+        "render", "--mesh", paths["mesh"], "--placement", place,
+        "--out", svg_path, "--size", -5,
+    ])
+    assert code == 2
+    assert "size must be a positive integer" in out.err
+    assert not svg_path.exists()
 
 
 def test_validate_bad_mesh_exit_code(tmp_path, capsys):

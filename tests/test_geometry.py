@@ -14,6 +14,7 @@ from torustutte import (
     verify_embedding,
 )
 from torustutte.errors import DegenerateFaceError
+from torustutte.geometry import _corner_angles
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,17 @@ def test_face_angle_sums(bumpy4):
             corner_angle(mesh, placement, fi, v) for v in mesh.faces[fi]
         )
         assert total == pytest.approx(math.pi, abs=1e-12)
+
+
+def test_scalar_helpers_match_whole_mesh_kernels(bumpy4, k7):
+    """One face's area and angles are bitwise the whole-mesh values."""
+    for mesh, placement in (bumpy4, k7):
+        areas = face_signed_areas(mesh, placement)
+        angles = _corner_angles(edge_vectors(mesh, placement)[mesh.face_edges])
+        for fi, face in enumerate(mesh.faces):
+            assert face_signed_area(mesh, placement, fi) == areas[fi]
+            for c, v in enumerate(face):
+                assert corner_angle(mesh, placement, fi, v) == angles[fi, c]
 
 
 def test_corner_angle_rejects_non_corner(grid3):

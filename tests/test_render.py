@@ -1,9 +1,20 @@
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
-from torustutte import Placement, edge_vectors, face_signed_areas, render_svg
+import helpers
+from torustutte import (
+    Placement,
+    build_mesh,
+    edge_vectors,
+    face_signed_areas,
+    gen_grid,
+    perturb,
+    render_svg,
+)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -82,11 +93,15 @@ def test_segments_cover_each_edge(bumpy4):
         assert abs(drawn - length) <= 1e-4, (i, j)
 
 
-def test_flipped_faces_highlighted(grid3):
+def folded_grid3(grid3):
     mesh, placement = grid3
     coords = placement.coords.copy()
     coords[4] = [-0.1, -0.1]
-    folded = Placement(coords)
+    return mesh, Placement(coords)
+
+
+def test_flipped_faces_highlighted(grid3):
+    mesh, folded = folded_grid3(grid3)
     areas = face_signed_areas(mesh, folded)
     flipped = {str(fi) for fi in np.nonzero(areas < 0)[0]}
     assert flipped
@@ -108,3 +123,54 @@ def test_y_axis_points_up(grid3):
     assert y_by_label["0"] > 700
     # vertex 6 sits at (0, 2/3): higher up the canvas
     assert y_by_label["6"] < y_by_label["0"]
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_non_positive_size_rejected(grid3, size):
+    mesh, placement = grid3
+    with pytest.raises(ValueError, match="size must be a positive integer"):
+        render_svg(mesh, placement, size=size)
+
+
+def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
+    """Vectorized clipping writes the same bytes as nine scalar clips per edge."""
+    mesh3, seam = grid3
+    folded = folded_grid3(grid3)
+    rng = np.random.default_rng(12)
+    diagonal = build_mesh(*helpers.random_diagonal_grid(12, rng))
+    coords = helpers.grid_coords(12) + rng.uniform(-0.1, 0.1, (144, 2)) / 12
+    coords[0] = 0.0
+    # vertex 3 sits 5e-13 inside the seam x = 1: the edge 3-4 leaves a
+    # piece shorter than 1e-12 in the central square, which is dropped
+    grazing = seam.coords.copy()
+    grazing[3] = [-5e-13, 1 / 3]
+    cases = [
+        # vertices on the seam lines: den == 0 with num == 0, single-point pieces
+        (grid3, {}),
+        ((mesh3, Placement(seam.coords + [0.11, 0.17])), {}),
+        ((mesh3, Placement(grazing)), {}),
+        (bumpy3, {}),
+        (bumpy4, {}),
+        (k7, {}),
+        (folded, {}),
+        (folded, {"highlight_flipped": False}),
+        ((diagonal, Placement(coords)), {}),
+        (bumpy4, {"size": 400, "labels": True}),
+    ]
+    for (mesh, placement), kwargs in cases:
+        expected = helpers.oracle_render_svg(mesh, placement, **kwargs)
+        assert render_svg(mesh, placement, **kwargs) == expected, kwargs
+
+
+def test_render_memory_stays_near_output_size():
+    """Clipping one translate at a time keeps the peak within a few output sizes."""
+    mesh, placement = gen_grid(64)
+    placement = perturb(mesh, placement, 0.1, seed=3)
+    render_svg(mesh, placement)
+    tracemalloc.start()
+    try:
+        svg = render_svg(mesh, placement)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * len(svg), peak / len(svg)
