@@ -8,8 +8,9 @@ plane: the lifted edge vector is x_j + b_ij - x_i. Shifts are
 antisymmetric, sum to zero around every face, and sum to (1,0) or (0,1)
 along loops that generate the two torus directions.
 
-Validation happens in :func:`build_mesh`; the class itself is dumb
-storage plus derived lookup tables and is immutable after construction.
+Validation happens in :func:`build_mesh`, in int64; the class itself is
+dumb storage plus derived lookup tables, int32 since a valid mesh has
+V = F/2, and is immutable after construction.
 """
 
 import operator
@@ -53,31 +54,33 @@ class GeneratorLoops:
 class EdgeIndex(Mapping):
     """Read-only ``{(i, j): position}`` view of sorted directed edges.
 
-    Lookups search the sorted keys ``i * n + j``, which cannot overflow
-    since a valid mesh has n = E - F; iteration follows
-    ``directed_edges``. No per-edge dict or tuple is stored.
+    A lookup searches row ``offsets[i]:offsets[i + 1]``, the edges from i
+    sorted by target. ``ids`` builds the sorted int64 keys ``i * n + j``
+    per call; they cannot overflow since a valid mesh has n = E - F.
+    Iteration follows ``directed_edges``. No per-edge key is stored.
     """
 
-    def __init__(self, directed_edges, vertex_count):
-        self._edges, self._n = directed_edges, vertex_count
-        self._keys = directed_edges[:, 0] * vertex_count + directed_edges[:, 1]
+    def __init__(self, directed_edges, offsets):
+        self._edges, self._offsets, self._n = directed_edges, offsets, len(offsets) - 1
 
     def ids(self, i, j):
         """Positions of the edges (i, j), broadcast; -1 for non-edges."""
         n = self._n
         i, j = (np.asarray(np.clip(np.asarray(x), -1, n), dtype=np.int64) for x in (i, j))
         keys = np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, -1)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return np.where(self._keys[pos] == keys, pos, -1)
+        edge_keys = self._edges[:, 0].astype(np.int64) * n + self._edges[:, 1]
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        return np.where(edge_keys[pos] == keys, pos, -1)
 
     def __getitem__(self, edge):
         try:
             i, j = map(operator.index, edge)
         except (TypeError, ValueError):
             raise KeyError(edge) from None
-        key = i * self._n + j if 0 <= i < self._n and 0 <= j < self._n else -1
-        k = int(np.searchsorted(self._keys, key))
-        if key < 0 or k == len(self._keys) or self._keys[k] != key:
+        inside = 0 <= i < self._n and 0 <= j < self._n
+        lo, hi = self._offsets[i:i + 2].tolist() if inside else (0, 0)
+        k = lo + int(np.searchsorted(self._edges[lo:hi, 1], j))
+        if k == hi or self._edges[k, 1] != j:
             raise KeyError(edge)
         return k
 
@@ -94,22 +97,22 @@ class TorusTriangulation:
     Attributes
     ----------
     vertex_count : int
-    faces : (F, 3) int array, counterclockwise vertex triples
-    directed_edges : (2E, 2) int array in lexicographic (source, target) order
+    faces : (F, 3) int32 array, counterclockwise vertex triples
+    directed_edges : (2E, 2) int32 array in lexicographic (source, target) order
     edge_index : read-only mapping (i, j) -> position in ``directed_edges``,
         backed by arrays
     edge_ids : batched lookup, ``edge_ids(i, j)`` gives the positions of
         the edges (i, j) broadcast over arrays, -1 for non-edges
-    shifts : (2E, 2) int array aligned with ``directed_edges``
-    reverse_index : (2E,) int array, position of each edge's reverse
+    shifts : (2E, 2) int32 array aligned with ``directed_edges``
+    reverse_index : (2E,) int32 array, position of each edge's reverse
     rotation : per-vertex tuple of neighbor ids in counterclockwise order,
         built on first use
-    rotation_offsets, rotation_edges : the rotation as CSR arrays; the
-        outgoing edges of v in counterclockwise order are
+    rotation_offsets, rotation_edges : the rotation as int32 CSR arrays;
+        the outgoing edges of v in counterclockwise order are
         ``rotation_edges[rotation_offsets[v]:rotation_offsets[v + 1]]``
-    face_edges : (F, 3) int array, edge indices of (i->j, j->k, k->i)
-    opposite_vertex : (2E,) int array, third vertex of the face left of the edge
-    face_of_edge : (2E,) int array, the face left of the edge
+    face_edges : (F, 3) int32 array, edge indices of (i->j, j->k, k->i)
+    face_of_edge, opposite_vertex : (2E,) int32 arrays, the face left of
+        each edge and its third vertex, derived from the corner order
 
     Instances are immutable after construction and safe to share between
     threads; the only internal mutations are the caches of generator
@@ -211,31 +214,31 @@ class TorusTriangulation:
         if connected_components(graph, directed=False, return_labels=False) > 1:
             raise DisconnectedError("one-skeleton is not connected")
 
-        edge_index = EdgeIndex(directed, int(vertex_count))
+        directed, offsets = directed.astype(np.int32), offsets.astype(np.int32)
+        edge_index = EdgeIndex(directed, offsets)
         shift_table = self._resolve_shifts(edge_index, directed, reverse_index, order, shifts)
 
         total = shift_table[face_edges].sum(axis=1)
         broken = (total != 0).any(axis=1)
         if broken.any():
             fi = int(np.argmax(broken))
-            i, j, k = faces[fi]
+            i, j, k = faces[fi].tolist()
             raise CocycleViolationError(
-                f"shifts around face ({i}, {j}, {k}) sum to {tuple(total[fi])}"
+                f"shifts around face ({i}, {j}, {k}) sum to {tuple(total[fi].tolist())}"
             )
 
         self.vertex_count = int(vertex_count)
         self.edge_count = edge_count
-        self.faces = faces
+        self.faces = faces.astype(np.int32)
         self.rotation_offsets = offsets
-        self.rotation_edges = ring
+        self.rotation_edges = ring.astype(np.int32)
         self.directed_edges = directed
         self.edge_index = edge_index
         self.edge_ids = edge_index.ids
-        self.shifts = shift_table
-        self.reverse_index = reverse_index
-        self.face_edges = face_edges
-        self.opposite_vertex = np.roll(faces, -2, axis=1).ravel()[order]
-        self.face_of_edge = order // 3
+        self.shifts = shift_table.astype(np.int32)
+        self.reverse_index = reverse_index.astype(np.int32)
+        self.face_edges = face_edges.astype(np.int32)
+        self._corner = order.astype(np.int32)
         self._cache = {}
 
     @staticmethod
@@ -244,12 +247,15 @@ class TorusTriangulation:
         given = np.zeros((len(rev), 2), dtype=np.int64)
         has = np.zeros(len(rev), dtype=bool)
         if shifts:
-            items = [(int(k[0]), int(k[1]), v) for k, v in dict(shifts).items()]
+            items = [(int(k[0]), int(k[1]), int(v[0]), int(v[1])) for k, v in dict(shifts).items()]
             pos = edge_index.ids([r[0] for r in items], [r[1] for r in items])
             if (pos < 0).any():
-                i, j, _ = items[int(np.argmax(pos < 0))]
+                i, j = items[int(np.argmax(pos < 0))][:2]
                 raise MeshError(f"shift given for non-edge ({i}, {j})")
-            given[pos] = [(int(v[0]), int(v[1])) for _, _, v in items]
+            for i, j, bx, by in items:
+                if max(abs(bx), abs(by)) >= 2**31:
+                    raise MeshError(f"shift ({bx}, {by}) of edge ({i}, {j}) does not fit in int32")
+            given[pos] = [r[2:] for r in items]
             has[pos] = True
         conflict = (order < order[rev]) & has & has[rev] & (given != -given[rev]).any(axis=1)
         if conflict.any():
@@ -259,6 +265,9 @@ class TorusTriangulation:
                 f"shifts for ({i}, {j}) and ({j}, {i}) are not antisymmetric"
             )
         return np.where(has[:, None], given, np.where(has[rev][:, None], -given[rev], 0))
+
+    face_of_edge = property(lambda self: self._corner // 3)
+    opposite_vertex = property(lambda self: self.faces[self._corner // 3, (self._corner + 2) % 3])
 
     @cached_property
     def rotation(self):
@@ -302,14 +311,16 @@ def _shortest_loop(mesh, steps, target):
 
     Breadth-first search over (vertex, accumulated shift) states, shift
     components clamped to [-V, V]; ``steps[v]`` lists the (neighbor,
-    bx, by) moves from v in rotation order. Over all start vertices the
-    first strictly shortest loop found wins, which makes the result
-    deterministic.
+    bx, by) moves from v in rotation order. Starts are the sources of
+    edges with a nonzero shift on an axis where the target is nonzero,
+    ascending; the first strictly shortest loop found wins. This is
+    exact: a loop with that shift sum uses such an edge, and rotating it
+    to begin at the edge's source keeps its length and shift sum.
     """
     n = mesh.vertex_count
     tx, ty = int(target[0]), int(target[1])
     best = None
-    for start in range(n):
+    for start in np.unique(mesh.directed_edges[mesh.shifts[:, 0 if tx else 1] != 0, 0]).tolist():
         goal = (start, tx, ty)
         parent = {(start, 0, 0): None}
         frontier = [(start, 0, 0)]

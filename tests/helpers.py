@@ -225,7 +225,7 @@ def oracle_mesh_tables(faces, shifts=None, vertex_count=None):
         )
         if total[0] != 0 or total[1] != 0:
             raise CocycleViolationError(
-                f"shifts around face ({i}, {j}, {k}) sum to {tuple(total)}"
+                f"shifts around face ({i}, {j}, {k}) sum to {tuple(total.tolist())}"
             )
 
     directed = sorted(face_of)
@@ -286,6 +286,56 @@ def brute_shortest_loop(mesh, target, limit):
 
     for start in range(mesh.vertex_count):
         walk(start, start, 0, 0, 0)
+    return best
+
+
+def oracle_shortest_loop(mesh, target):
+    """Shortest closed walk with shift sum ``target``, searched from every vertex.
+
+    The search the wrap-edge start set replaced: breadth-first over
+    (vertex, accumulated shift) states with components clamped to
+    [-V, V], moves in rotation order, every vertex tried as a start in
+    ascending order, first strictly shortest loop wins. Returns None
+    when no loop is found.
+    """
+    n = mesh.vertex_count
+    steps = [
+        tuple((u, *map(int, mesh.shifts[mesh.edge_index[(v, u)]])) for u in mesh.rotation[v])
+        for v in range(n)
+    ]
+    tx, ty = int(target[0]), int(target[1])
+    best = None
+    for start in range(n):
+        goal = (start, tx, ty)
+        parent = {(start, 0, 0): None}
+        frontier = [(start, 0, 0)]
+        depth = 0
+        found = None
+        while frontier and found is None:
+            depth += 1
+            if best is not None and depth >= len(best):
+                break
+            nxt = []
+            for state in frontier:
+                for u, bx, by in steps[state[0]]:
+                    ns = (u, state[1] + bx, state[2] + by)
+                    if abs(ns[1]) > n or abs(ns[2]) > n:
+                        continue
+                    if ns == goal:
+                        found = state
+                        break
+                    if ns not in parent:
+                        parent[ns] = state
+                        nxt.append(ns)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is not None:
+            path = []
+            while found is not None:
+                path.append(found[0])
+                found = parent[found]
+            best = tuple(reversed(path))
     return best
 
 

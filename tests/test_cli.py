@@ -252,6 +252,17 @@ def test_validate_bad_mesh_exit_code(tmp_path, capsys):
     assert "error:" in out.err
 
 
+def test_validate_huge_shift_exit_code(workspace, tmp_path, capsys):
+    mesh, _, _ = workspace
+    doc = mesh_to_json(mesh)
+    doc["shifts"][0][3] = 2**70
+    bad = tmp_path / "huge.json"
+    dump_json(doc, bad)
+    code, out = run(capsys, ["validate", "--mesh", bad])
+    assert code == 2
+    assert f"shift ({doc['shifts'][0][2]}, {2**70}) of edge" in out.err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, out = run(capsys, ["validate", "--mesh", tmp_path / "nope.json"])
     assert code == 2

@@ -1,8 +1,19 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import helpers
-from torustutte import build_mesh, gen_grid, gen_k7, generator_loops, rotation_order
+from torustutte import (
+    WeightAssignment,
+    build_mesh,
+    gen_grid,
+    gen_k7,
+    generator_loops,
+    retract,
+    rotation_order,
+)
 from torustutte.errors import (
     BadFaceError,
     BadOrientationError,
@@ -258,6 +269,21 @@ def test_cocycle_violation(grid3):
     shifts[seam] = (sx, sy + 1)
     with pytest.raises(CocycleViolationError):
         build_mesh([tuple(f) for f in mesh.faces], shifts)
+    shifts[seam] = (sx + 2**31 - 1, sy)
+    with pytest.raises(CocycleViolationError) as caught:
+        build_mesh([tuple(f) for f in mesh.faces], shifts)
+    assert str(caught.value) == "shifts around face (2, 0, 3) sum to (-2147483647, 0)"
+
+
+def test_shift_outside_int32_names_its_edge(grid3):
+    mesh, _ = grid3
+    for value in (2**31, -2**31, 2**70):
+        shifts = {**canonical_shift_dict(mesh), (0, 3): (0, value)}
+        with pytest.raises(MeshError, match=rf"^shift \(0, {value}\) of edge \(0, 3\) does not"):
+            build_mesh([tuple(f) for f in mesh.faces], shifts)
+    # vertex 0 moved 2**31 - 2 along x: its shifts reach +-(2**31 - 1)
+    moved = regauged(mesh, [(2**31 - 2, 0)] + [(0, 0)] * 8)
+    assert np.abs(moved.shifts).max() == 2**31 - 1
 
 
 def test_unlisted_shifts_default_to_zero(grid3):
@@ -341,6 +367,52 @@ def test_no_generator_loop(grid3):
         generator_loops(rebuilt)
 
 
+def regauged(mesh, t):
+    """The same torus with vertex v moved by the lattice vector t[v]: b_ij += t_j - t_i."""
+    shifts = {
+        (i, j): (bx + t[j][0] - t[i][0], by + t[j][1] - t[i][1])
+        for (i, j), (bx, by) in canonical_shift_dict(mesh).items()
+    }
+    return build_mesh(mesh.faces.tolist(), shifts)
+
+
+def loop_search_inputs():
+    meshes = [("k7", gen_k7()[0])] + [(f"grid{m}", gen_grid(m)[0]) for m in (3, 4, 5, 6, 12)]
+    for m, seed in ((8, 11), (12, 12)):
+        faces, shifts = helpers.random_diagonal_grid(m, np.random.default_rng(seed))
+        meshes.append((f"diagonal{m}", build_mesh(faces, shifts)))
+    rng = np.random.default_rng(29)
+    meshes += [
+        (f"{name} regauged", regauged(mesh, rng.integers(-2, 3, (mesh.vertex_count, 2)).tolist()))
+        for name, mesh in meshes
+    ]
+    return meshes
+
+
+@pytest.mark.parametrize("name, mesh", loop_search_inputs())
+def test_loops_match_all_starts_oracle(name, mesh):
+    """Wrap-edge starts give the loops of the search from every vertex.
+
+    Re-gauging moves the wrap edges but not the loops.
+    """
+    loops = generator_loops(mesh)
+    assert loops.horizontal == helpers.oracle_shortest_loop(mesh, (1, 0))
+    assert loops.vertical == helpers.oracle_shortest_loop(mesh, (0, 1))
+
+
+def test_loop_length_exact_when_smallest_vertex_does_not_wrap():
+    """Moving the seam off vertex 0 changes which shortest loop is found, not its length."""
+    mesh, _ = gen_grid(4)
+    moved = regauged(mesh, [(int(v % 4 == 3), int(v >= 12)) for v in range(16)])
+    assert not moved.shifts[moved.directed_edges[:, 0] == 0].any()
+    loops = generator_loops(moved)
+    for loop, target in ((loops.horizontal, (1, 0)), (loops.vertical, (0, 1))):
+        assert_valid_loop(moved, loop, target)
+        expected = helpers.oracle_shortest_loop(moved, target)
+        assert expected[0] == 0 and loop[0] != 0
+        assert loop in {expected[k:] + expected[:k] for k in range(4)}
+
+
 # ---------------------------------------------------------------------------
 # Array build against the dict-based reference builder
 
@@ -366,7 +438,7 @@ def test_tables_match_reference_builder(name, mesh):
     for table in TABLES:
         got = getattr(mesh, table)
         if isinstance(got, np.ndarray):
-            assert got.dtype == np.int64, table
+            assert got.dtype == np.int32, table
             assert np.array_equal(got, expected[table]), table
         else:
             assert got == expected[table], table
@@ -443,3 +515,33 @@ def test_edge_index_view(grid4, k7):
     ids = mesh.edge_ids(mesh.directed_edges[:, 0], mesh.directed_edges[:, 1])
     assert np.array_equal(ids, np.arange(len(mesh.directed_edges)))
     assert mesh.edge_ids([0, 0, -1, 16], [1, 2, 1, 0]).tolist() == [view[(0, 1)], -1, -1, -1]
+
+
+def test_edge_ids_keys_do_not_overflow():
+    """n**2 > 2**31 at 46 656 vertices: lookup keys must be built in int64."""
+    mesh, _ = gen_grid(216)
+    assert mesh.vertex_count**2 > 2**31
+    ids = mesh.edge_ids(mesh.directed_edges[:, 0], mesh.directed_edges[:, 1])
+    assert np.array_equal(ids, np.arange(len(mesh.directed_edges)))
+
+
+def test_mesh_footprint_after_loops_and_retract():
+    """An 18 x 18 mesh keeps at most 90 KiB once its loops and a retraction ran."""
+    faces, shifts = helpers.random_diagonal_grid(18, np.random.default_rng(3))
+    values = np.random.default_rng(4).uniform(0.5, 2.0, 6 * 18 * 18)
+
+    def kept():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mesh = build_mesh(faces, shifts)
+            generator_loops(mesh)
+            retract(mesh, WeightAssignment(values))
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    kept()  # first use fills import-time and isinstance caches
+    assert kept() <= 90 * 1024
