@@ -42,7 +42,7 @@ class ShiftConflictError(MeshError):
 
 
 class NoGeneratorLoopError(MeshError):
-    """No loop with the requested shift sum exists within the search bound."""
+    """No loop with the requested shift sum keeps every partial shift sum in [-V, V]."""
 
 
 class DegenerateFaceError(TorusTutteError):

@@ -292,7 +292,7 @@ def brute_shortest_loop(mesh, target, limit):
 def oracle_shortest_loop(mesh, target):
     """Shortest closed walk with shift sum ``target``, searched from every vertex.
 
-    The search the wrap-edge start set replaced: breadth-first over
+    The oracle of the batched wrap-edge search: breadth-first over
     (vertex, accumulated shift) states with components clamped to
     [-V, V], moves in rotation order, every vertex tried as a start in
     ascending order, first strictly shortest loop wins. Returns None

@@ -263,6 +263,17 @@ def test_validate_huge_shift_exit_code(workspace, tmp_path, capsys):
     assert f"shift ({doc['shifts'][0][2]}, {2**70}) of edge" in out.err
 
 
+def test_validate_huge_vertex_id_exit_code(workspace, tmp_path, capsys):
+    mesh, _, _ = workspace
+    doc = mesh_to_json(mesh)
+    doc["faces"][0][2] = 2**70
+    bad = tmp_path / "huge_id.json"
+    dump_json(doc, bad)
+    code, out = run(capsys, ["validate", "--mesh", bad])
+    assert code == 2
+    assert f"{2**70}) has a vertex id outside int64" in out.err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, out = run(capsys, ["validate", "--mesh", tmp_path / "nope.json"])
     assert code == 2

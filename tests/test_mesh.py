@@ -386,6 +386,23 @@ def loop_search_inputs():
         (f"{name} regauged", regauged(mesh, rng.integers(-2, 3, (mesh.vertex_count, 2)).tolist()))
         for name, mesh in meshes
     ]
+    # Wide re-gaugings make the [-V, V] clamp bind. It rules out every
+    # loop of k7 at spreads 10-30 and of grid3 and grid4 at spread 30,
+    # and a search that reused the forward ball for the backward one
+    # picks another start on 'grid4 spread 10' and 'diagonal5 spread 30'.
+    faces, shifts = helpers.random_diagonal_grid(5, np.random.default_rng(5))
+    small = [("k7", gen_k7()[0])] + [(f"grid{m}", gen_grid(m)[0]) for m in (3, 4, 5)]
+    small.append(("diagonal5", build_mesh(faces, shifts)))
+    rng = np.random.default_rng(31)
+    meshes += [
+        (f"{name} spread {s}", regauged(mesh, rng.integers(-s, s + 1, (mesh.vertex_count, 2)).tolist()))
+        for name, mesh in small
+        for s in (5, 10, 20, 30)
+    ]
+    # Largest shift 7 = V: in round 1 only the backward ball, moved by -t,
+    # can leave the clamp, and it does.
+    t = [(-4, 1), (3, -2), (1, -2), (1, -2), (1, -4), (0, -3), (4, -2)]
+    meshes.append(("k7 clamp binds at once", regauged(small[0][1], t)))
     return meshes
 
 
@@ -393,11 +410,39 @@ def loop_search_inputs():
 def test_loops_match_all_starts_oracle(name, mesh):
     """Wrap-edge starts give the loops of the search from every vertex.
 
-    Re-gauging moves the wrap edges but not the loops.
+    Re-gauging moves the wrap edges but not the loops. Where the oracle
+    finds no loop within the clamp, the search raises.
     """
+    expected = [helpers.oracle_shortest_loop(mesh, target) for target in ((1, 0), (0, 1))]
+    if None in expected:
+        with pytest.raises(NoGeneratorLoopError):
+            generator_loops(mesh)
+        return
     loops = generator_loops(mesh)
-    assert loops.horizontal == helpers.oracle_shortest_loop(mesh, (1, 0))
-    assert loops.vertical == helpers.oracle_shortest_loop(mesh, (0, 1))
+    assert loops.horizontal == expected[0]
+    assert loops.vertical == expected[1]
+
+
+def test_generator_loops_grid40():
+    mesh, _ = gen_grid(40)
+    loops = generator_loops(mesh)
+    assert len(loops.horizontal) == 40
+    assert len(loops.vertical) == 40
+    assert_valid_loop(mesh, loops.horizontal, (1, 0))
+    assert_valid_loop(mesh, loops.vertical, (0, 1))
+
+
+def test_loop_search_memory_peak():
+    """The batched search of an 18 x 18 mesh peaks at most at 4 MiB."""
+    faces, shifts = helpers.random_diagonal_grid(18, np.random.default_rng(3))
+    mesh = build_mesh(faces, shifts)
+    tracemalloc.start()
+    try:
+        generator_loops(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_loop_length_exact_when_smallest_vertex_does_not_wrap():
@@ -494,6 +539,15 @@ def test_huge_vertex_id_names_its_edge(grid3):
     faces = [list(f) for f in mesh.faces]
     faces[0][2] = 2**40
     with pytest.raises(NonManifoldEdgeError, match=r"\{1, 1099511627776\}"):
+        build_mesh(faces)
+
+
+@pytest.mark.parametrize("vertex", [2**70, -2**70, 2**63])
+def test_vertex_id_outside_int64_names_its_face(grid3, vertex):
+    mesh, _ = grid3
+    faces = [tuple(f) for f in mesh.faces.tolist()]
+    faces[4] = (faces[4][0], faces[4][1], vertex)
+    with pytest.raises(BadFaceError, match=rf"^face \({faces[4][0]}, {faces[4][1]}, {vertex}\) has a"):
         build_mesh(faces)
 
 
