@@ -32,7 +32,7 @@ from .morph import morph, verify_morph
 from .mvc import check_balanced, mean_value_weights
 from .oneform import direction_form, generic_direction_form, index_theorem_check
 from .render import render_svg
-from .tutte import balance_energy, tutte_map
+from .tutte import residual_structure, tutte_map
 
 VALIDATION_ERRORS = (
     MeshError,
@@ -140,10 +140,10 @@ def cmd_mvc(args):
 def cmd_energy(args):
     mesh = _load_mesh(args.mesh)
     weights = _load_weights(mesh, args.weights)
-    energy = balance_energy(mesh, weights)
+    report = residual_structure(mesh, weights, args.tol)
     sys.stdout.write(
         serialize.dump_json(
-            {"energy": energy, "admissible": energy <= args.tol, "tol": args.tol}
+            {"energy": report.energy, "admissible": report.zero_residual, "tol": args.tol}
         )
     )
     return 0

@@ -32,16 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibleInputError, NonFiniteStateError
-from .geometry import Placement, edge_vectors
 from .mesh import generator_loops
-from .tutte import (
-    ADMISSIBLE_TOL,
-    WeightAssignment,
-    _solve_raw,
-    _validated_values,
-    assemble_system,
-    balance_energy,
-)
+from .tutte import ADMISSIBLE_TOL, WeightAssignment, _solve, _validated_values, balance_energy
 
 CONVERGED = "converged"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -145,9 +137,8 @@ def flow_constants(mesh, weights, energy=None):
     )
 
 
-def _velocity(mesh, values, coords, direction):
-    """Euler field at the current state; assumes a nonzero residual."""
-    u = edge_vectors(mesh, Placement(coords)) @ direction
+def _velocity(mesh, values, u):
+    """Euler field at the current state from the edge projections ``u``."""
     rev = mesh.reverse_index
     return values * projection_gate(
         (values + values[rev]) * u / _gate_scale(mesh, values)
@@ -157,64 +148,55 @@ def _velocity(mesh, values, coords, direction):
 def flow_velocity(mesh, weights, tol=ADMISSIBLE_TOL):
     """dw/dt at the given weights; raises AdmissibleInputError at energy <= tol."""
     values = _validated_values(mesh, weights)
-    coords, _, energy, direction = _solve_raw(assemble_system(mesh, weights))
-    if energy <= tol:
+    report = _solve(mesh, weights, tol)[1]
+    if report.energy <= tol:
         raise AdmissibleInputError(
-            f"flow velocity undefined: energy {energy:.3e} is within tolerance"
+            f"flow velocity undefined: energy {report.energy:.3e} is within tolerance"
         )
-    return _velocity(mesh, values, coords, direction)
+    return _velocity(mesh, values, report.projections)
 
 
-def retract(
-    mesh,
-    weights,
-    tol=ADMISSIBLE_TOL,
-    max_steps=200_000,
-    dt_init=DT_INIT,
-    dt_min=DT_MIN,
-    dt_max=DT_MAX,
-):
+def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
     """Integrate the flow until the weights become admissible.
 
     Explicit Euler with acceptance control: a trial step is accepted
     only if all weights stay finite and positive, the balance energy
     strictly decreases, and the asymmetry bound does not grow; on
-    rejection the step halves down to ``dt_min``. Each accepted step
-    re-solves the balance system. Returns a FlowTrace whose samples
-    record every accepted state; status is ``converged``,
-    ``already_admissible``, or ``budget_exceeded`` (best weights found
-    are still returned).
+    rejection the step halves down to ``DT_MIN``. The first step tries
+    ``DT_INIT``; after each accepted step the next one doubles, capped
+    at ``DT_MAX``. Each trial re-solves the balance system. Returns a
+    FlowTrace whose samples record every accepted state; status is
+    ``converged``, ``already_admissible``, or ``budget_exceeded`` (best
+    weights found are still returned).
     """
     values = _validated_values(mesh, weights).copy()
     rev = mesh.reverse_index
-    coords, _, energy, direction = _solve_raw(assemble_system(mesh, WeightAssignment(values)))
+    report = _solve(mesh, WeightAssignment(values), tol)[1]
     samples = [
-        FlowSample(0.0, values.copy(), energy, float(values.min()), _asym_bound(values, rev))
+        FlowSample(0.0, values.copy(), report.energy, float(values.min()), _asym_bound(values, rev))
     ]
-    if energy <= tol:
+    if report.energy <= tol:
         return FlowTrace(samples, ALREADY_ADMISSIBLE, WeightAssignment(values), 0)
 
     t = 0.0
-    dt = float(dt_init)
+    dt = DT_INIT
     steps = 0
     status = BUDGET_EXCEEDED
     while steps < max_steps:
-        velocity = _velocity(mesh, values, coords, direction)
+        velocity = _velocity(mesh, values, report.projections)
         asym = _asym_bound(values, rev)
         accepted = False
-        while dt >= dt_min:
+        while dt >= DT_MIN:
             trial = values + dt * velocity
             if not np.isfinite(trial).all() or (trial <= 0).any():
-                if dt * 0.5 < dt_min:
+                if dt * 0.5 < DT_MIN:
                     raise NonFiniteStateError("flow state left the positive cone")
                 dt *= 0.5
                 continue
-            coords_t, _, energy_t, direction_t = _solve_raw(
-                assemble_system(mesh, WeightAssignment(trial))
-            )
+            report_t = _solve(mesh, WeightAssignment(trial), tol)[1]
             if (
-                np.isfinite(energy_t)
-                and energy_t < energy
+                np.isfinite(report_t.energy)
+                and report_t.energy < report.energy
                 and _asym_bound(trial, rev) <= asym + 1e-12
             ):
                 accepted = True
@@ -225,12 +207,12 @@ def retract(
         steps += 1
         t += dt
         values = trial
-        coords, energy, direction = coords_t, energy_t, direction_t
-        samples.append(
-            FlowSample(t, values.copy(), energy, float(values.min()), _asym_bound(values, rev))
-        )
-        if energy <= tol:
+        report = report_t
+        samples.append(FlowSample(
+            t, values.copy(), report.energy, float(values.min()), _asym_bound(values, rev)
+        ))
+        if report.energy <= tol:
             status = CONVERGED
             break
-        dt = min(dt * 2.0, dt_max)
+        dt = min(dt * 2.0, DT_MAX)
     return FlowTrace(samples, status, WeightAssignment(values), steps)

@@ -116,12 +116,12 @@ def corner_angle(mesh, placement, face_index, vertex):
     return float(_corner_angles(fv)[corner[0]])
 
 
-def verify_embedding(mesh, placement, area_tol=AREA_TOL, total_tol=TOTAL_AREA_TOL):
+def verify_embedding(mesh, placement):
     """Certify whether a placement embeds the mesh in the torus.
 
-    The certificate is purely local: all face areas exceed ``area_tol``
-    and the total equals 1 within ``total_tol``, which pins the degree
-    to one. Angle sums per vertex are reported alongside; for an
+    The certificate is purely local: all face areas exceed ``AREA_TOL``
+    and the total equals 1 within ``TOTAL_AREA_TOL``, which pins the
+    degree to one. Angle sums per vertex are reported alongside; for an
     embedding each equals 2*pi.
     """
     fv = _lifted(mesh, placement, mesh.face_edges)
@@ -131,7 +131,7 @@ def verify_embedding(mesh, placement, area_tol=AREA_TOL, total_tol=TOTAL_AREA_TO
     angle_sums = np.zeros(mesh.vertex_count)
     np.add.at(angle_sums, mesh.faces.T.ravel(), _corner_angles(fv).T.ravel())
 
-    is_embedding = bool(areas.min() > area_tol and abs(total - 1.0) <= total_tol)
+    is_embedding = bool(areas.min() > AREA_TOL and abs(total - 1.0) <= TOTAL_AREA_TOL)
     return EmbeddingReport(
         face_areas=areas,
         total_area=total,

@@ -21,6 +21,8 @@ from .errors import DegenerateFaceError, DegenerateVertexError
 from .geometry import edge_vectors
 
 ZERO_TOL = 1e-13
+DIRECTION_STEP = 0.6
+DIRECTION_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -140,20 +142,21 @@ def index_theorem_check(mesh, form, tol=ZERO_TOL):
     )
 
 
-def generic_direction_form(mesh, placement, start_angle=0.1, step=0.6, max_tries=64):
+def generic_direction_form(mesh, placement, start_angle=0.1):
     """First direction form along the angle ladder that vanishes nowhere.
 
-    Tries angles start_angle, start_angle + step, ... and returns
-    (form, angle). Deterministic; raises if every try has a zero edge,
-    which only happens for degenerate placements.
+    Tries ``DIRECTION_TRIES`` angles start_angle, start_angle +
+    ``DIRECTION_STEP``, ... and returns (form, angle). Deterministic;
+    raises if every try has a zero edge, which only happens for
+    degenerate placements.
     """
-    for k in range(max_tries):
-        angle = start_angle + k * step
+    for k in range(DIRECTION_TRIES):
+        angle = start_angle + k * DIRECTION_STEP
         form = direction_form(
             mesh, placement, np.array([np.cos(angle), np.sin(angle)])
         )
         if np.abs(form.values).min() > ZERO_TOL:
             return form, angle
     raise DegenerateVertexError(
-        f"no nonvanishing direction found after {max_tries} tries"
+        f"no nonvanishing direction found after {DIRECTION_TRIES} tries"
     )

@@ -22,9 +22,12 @@ It has rank one, every row points along the shared residual direction
 -d / |d|, and row norms are reproduced by weighted sums of the edge
 projections u_ij onto that direction. The retraction flow is built
 entirely from this structure. Each solve factors A without vertex 0
-once, by sparse LU, and gets both pi and the placement from it.
+once, by sparse LU, and gets both pi and the placement from it. The
+residual report stores pi and d and derives the residual rows and the
+direction from them; nothing is recovered by an SVD.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,8 @@ from .errors import (
     NotAdmissibleError,
     SingularSystemError,
 )
-from .geometry import Placement, edge_vectors, verify_embedding
+from .geometry import Placement, verify_embedding
+from .oneform import direction_form
 
 ADMISSIBLE_TOL = 1e-10
 
@@ -103,24 +107,31 @@ class BalanceSystem:
 class ResidualReport:
     """Residual structure at the least-squares balance solution.
 
-    ``direction`` and ``projections`` are present only when the energy
-    exceeds tolerance; for admissible weights ``zero_residual`` is set
-    instead. ``projections`` holds u_ij, the component of each lifted
-    edge vector along the shared residual direction, and
-    ``max_weight_ratio`` is the largest w_ij / w_ji, which bounds how
-    unevenly the residual mass can spread over vertices.
+    Stores the stationary vector ``pi`` (with pi_0 = 1) and the drift
+    d = pi^T b; the rank-one residual rows -pi d^T / |pi|^2 and the
+    shared direction -d / |d| are derived from them on access.
+    ``direction`` and ``projections`` are present exactly when the
+    energy exceeds the tolerance; otherwise ``zero_residual`` is set.
+    ``projections`` holds u_ij, the component of each lifted edge
+    vector along the direction, and ``max_weight_ratio`` is the
+    largest w_ij / w_ji, which bounds how unevenly the residual mass
+    can spread over vertices.
     """
 
-    residuals: np.ndarray
+    pi: np.ndarray
+    drift: np.ndarray
     energy: float
-    direction: np.ndarray | None
     projections: np.ndarray | None
     max_weight_ratio: float
-    singular_ratio: float
     zero_residual: bool
 
-    def row_inner_products(self):
-        return self.residuals @ self.residuals.T
+    @property
+    def residuals(self):
+        return np.outer(self.pi, -self.drift / float(self.pi @ self.pi))
+
+    @property
+    def direction(self):
+        return None if self.projections is None else -self.drift / np.linalg.norm(self.drift)
 
 
 def assemble_system(mesh, weights):
@@ -138,15 +149,18 @@ def assemble_system(mesh, weights):
     return BalanceSystem(matrix=matrix, rhs=rhs)
 
 
-def _solve_raw(system):
+def _solve(mesh, weights, tol):
     """Pinned least squares from one sparse LU of A without vertex 0.
 
     A transposed solve gives the stationary vector pi with pi_0 = 1, the
     closed form gives residual and energy from d = pi^T b, and a plain
     solve of the consistent system A x = b + r gives the coordinates.
-    Returns (coords, residual, energy, direction), where direction is
-    -d / |d|, or None when d is exactly zero.
+    Returns (coords, ResidualReport).
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    values = _validated_values(mesh, weights)
+    system = assemble_system(mesh, weights)
     matrix, rhs = system.matrix, system.rhs
     try:
         lu = scipy.sparse.linalg.splu(matrix[1:, 1:])
@@ -159,52 +173,40 @@ def _solve_raw(system):
     free = lu.solve(rhs[1:] + residual[1:])
     coords = np.vstack([np.zeros((1, 2)), free])
     drift_norm = float(np.linalg.norm(drift))
-    direction = -drift / drift_norm if drift_norm > 0 else None
-    return coords, residual, drift_norm**2 / pi_sq, direction
-
-
-def _report_from_residual(mesh, values, coords, residual, energy, direction, tol):
-    ratio = float((values / values[mesh.reverse_index]).max())
-    sv = np.linalg.svd(residual, compute_uv=False)
-    singular_ratio = float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
-    if energy > tol:
-        projections = edge_vectors(mesh, Placement(coords)) @ direction
-    else:
-        direction = None
-        projections = None
-    return ResidualReport(
-        residuals=residual,
+    energy = drift_norm**2 / pi_sq
+    projections = None
+    # a nonfinite solve gets no projections, so the flow can reject it
+    if tol < energy < math.inf:
+        projections = direction_form(mesh, Placement(coords), -drift / drift_norm).values
+    report = ResidualReport(
+        pi=pi,
+        drift=drift,
         energy=energy,
-        direction=direction,
         projections=projections,
-        max_weight_ratio=ratio,
-        singular_ratio=singular_ratio,
+        max_weight_ratio=float((values / values[mesh.reverse_index]).max()),
         zero_residual=energy <= tol,
     )
+    return coords, report
 
 
 def solve_balance(mesh, weights, tol=ADMISSIBLE_TOL):
     """Solve the balance system; returns (placement, residual report)."""
-    values = _validated_values(mesh, weights)
-    coords, residual, energy, direction = _solve_raw(assemble_system(mesh, weights))
-    report = _report_from_residual(mesh, values, coords, residual, energy, direction, tol)
+    coords, report = _solve(mesh, weights, tol)
     return Placement(coords), report
 
 
 def balance_energy(mesh, weights):
     """Minimum of ||A x - b||_F^2 over placements with vertex 0 pinned."""
-    return _solve_raw(assemble_system(mesh, weights))[2]
+    return _solve(mesh, weights, ADMISSIBLE_TOL)[1].energy
 
 
 def is_admissible(mesh, weights, tol=ADMISSIBLE_TOL):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return balance_energy(mesh, weights) <= tol
+    return _solve(mesh, weights, tol)[1].zero_residual
 
 
 def residual_structure(mesh, weights, tol=ADMISSIBLE_TOL):
     """Residual report at the least-squares solution for these weights."""
-    return solve_balance(mesh, weights, tol)[1]
+    return _solve(mesh, weights, tol)[1]
 
 
 def tutte_map(mesh, weights, tol=ADMISSIBLE_TOL):

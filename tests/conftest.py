@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from torustutte import gen_grid, gen_k7, perturb
+
+# Property tests replay the same examples on every run and stay bounded.
+settings.register_profile("torustutte", derandomize=True, max_examples=25, deadline=None)
+settings.load_profile("torustutte")
 
 
 @pytest.fixture(scope="session")

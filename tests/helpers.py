@@ -379,6 +379,12 @@ def oracle_left_null(matrix):
     return pi
 
 
+def oracle_singular_ratio(residuals):
+    """sigma_2 / sigma_1 of the residual rows by SVD; 0 for a zero residual."""
+    sv = np.linalg.svd(residuals, compute_uv=False)
+    return float(sv[1] / sv[0]) if sv[0] > 0 else 0.0
+
+
 # ---------------------------------------------------------------------------
 # Mean value weight oracle
 

@@ -101,8 +101,8 @@ def run_all():
         residual_rows.append(
             {
                 "energy": report.energy,
-                "singular_ratio": report.singular_ratio,
-                "min_gram": float(report.row_inner_products().min()),
+                "singular_ratio": helpers.oracle_singular_ratio(report.residuals),
+                "min_gram": float((report.residuals @ report.residuals.T).min()),
                 "row_ratio": float(norms.max() / norms.min()),
                 "ratio_cap": float(report.max_weight_ratio ** (N3 - 1)),
                 "min_projection": float(report.projections.min()),

@@ -112,6 +112,22 @@ def test_embed_rejects_non_admissible(workspace, tmp_path, capsys):
     assert "error:" in out.err
 
 
+@pytest.mark.parametrize("command, tol", [("embed", "nan"), ("energy", "0"), ("retract", "-1")])
+def test_bad_tol_exit_code(workspace, tmp_path, capsys, command, tol):
+    """A tolerance that is not positive and finite is an input error."""
+    mesh, _, paths = workspace
+    values = np.ones(54)
+    values[mesh.edge_index[(0, 1)]] = 5.0
+    bad = tmp_path / "bad.json"
+    dump_json(weights_to_json(mesh, WeightAssignment(values)), bad)
+    extra = ["--out-placement", tmp_path / "never.json"] if command == "embed" else []
+    code, out = run(capsys, [
+        command, "--mesh", paths["mesh"], "--weights", bad, "--tol", tol, *extra,
+    ])
+    assert code == 2
+    assert "tol must be positive and finite" in out.err
+
+
 def test_retract_flow(workspace, tmp_path, capsys):
     mesh, _, paths = workspace
     values = np.ones(54)

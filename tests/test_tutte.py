@@ -6,11 +6,17 @@ from torustutte import (
     WeightAssignment,
     assemble_system,
     balance_energy,
+    build_mesh,
+    flow_velocity,
     gen_grid,
+    gen_k7,
     is_admissible,
+    loop_gap,
     mean_value_weights,
+    morph,
     perturb,
     residual_structure,
+    retract,
     solve_balance,
     tutte_map,
     uniform_weights,
@@ -216,9 +222,9 @@ def test_single_asymmetry_residual_structure(grid3):
     assert not report.zero_residual
     assert report.max_weight_ratio == 5.0
     # rank one: second singular value vanishes relative to the first
-    assert report.singular_ratio <= 1e-9
+    assert helpers.oracle_singular_ratio(report.residuals) <= 1e-9
     # all residual rows share a half-plane
-    gram = report.row_inner_products()
+    gram = report.residuals @ report.residuals.T
     assert gram.min() > 0
     # row norms decompose along the common direction
     assert report.direction is not None
@@ -241,11 +247,35 @@ def test_residual_structure_random(grid3, rng):
         values = helpers.random_directed_weights(mesh, rng, 0.5, 2.0)
         report = residual_structure(mesh, WeightAssignment(values))
         assert report.energy > 1e-10
-        assert report.singular_ratio <= 1e-9
-        assert report.row_inner_products().min() > 0
+        assert helpers.oracle_singular_ratio(report.residuals) <= 1e-9
+        assert (report.residuals @ report.residuals.T).min() > 0
         norms = np.linalg.norm(report.residuals, axis=1)
         bound = report.max_weight_ratio ** (mesh.vertex_count - 1)
         assert norms.max() / norms.min() <= bound
+
+
+RESIDUAL_MESHES = {
+    "grid3": lambda: gen_grid(3)[0],
+    "k7": lambda: gen_k7()[0],
+    "diagonal12": lambda: build_mesh(
+        *helpers.random_diagonal_grid(12, np.random.default_rng(12))
+    ),
+    "grid32": lambda: gen_grid(32)[0],
+}
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_MESHES))
+def test_residual_rank_one_beyond_small_grids(name, rng):
+    """The closed-form report against the oracles, on meshes up to 1 024 vertices."""
+    mesh = RESIDUAL_MESHES[name]()
+    values = helpers.random_directed_weights(mesh, rng, 0.5, 2.0)
+    report = residual_structure(mesh, WeightAssignment(values))
+    assert not report.zero_residual
+    _, residual, _ = helpers.oracle_solve(mesh, values)
+    assert np.allclose(report.residuals, residual, atol=1e-8)
+    assert helpers.oracle_singular_ratio(report.residuals) <= 1e-9
+    assert (report.residuals @ report.residuals.T).min() > 0
+    assert report.projections.min() <= -loop_gap(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +310,32 @@ def test_is_admissible_rejects_bad_tol(grid3):
         is_admissible(mesh, uniform_weights(mesh), tol=0.0)
     with pytest.raises(ValueError):
         is_admissible(mesh, uniform_weights(mesh), tol=-1.0)
+
+
+def morph_grid3(mesh, weights, tol):
+    """A two-frame morph of the 3x3 grid onto itself; ignores ``weights``."""
+    placement = gen_grid(3)[1]
+    return morph(mesh, placement, placement, 2, tol=tol)
+
+
+TOL_ENTRY_POINTS = {
+    "solve_balance": solve_balance,
+    "is_admissible": is_admissible,
+    "residual_structure": residual_structure,
+    "tutte_map": tutte_map,
+    "flow_velocity": flow_velocity,
+    "retract": retract,
+    "morph": morph_grid3,
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(TOL_ENTRY_POINTS))
+def test_bad_tol_rejected_everywhere(grid3, entry, tol):
+    """Every solve with a tolerance rejects one that is not positive and finite."""
+    mesh, _ = grid3
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        TOL_ENTRY_POINTS[entry](mesh, single_asymmetry(mesh), tol)
 
 
 # ---------------------------------------------------------------------------
