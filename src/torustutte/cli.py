@@ -7,7 +7,6 @@ memory).
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .morph import morph, verify_morph
 from .mvc import check_balanced, mean_value_weights
 from .oneform import direction_form, generic_direction_form, index_theorem_check
 from .render import render_svg
-from .tutte import residual_structure, tutte_map
+from .tutte import ADMISSIBLE_TOL, residual_structure, tutte_map
 
 VALIDATION_ERRORS = (
     MeshError,
@@ -45,7 +44,6 @@ VALIDATION_ERRORS = (
     ValueError,
     KeyError,
     OSError,
-    json.JSONDecodeError,
 )
 # Every other deliberate error is numerical, and so are Python's own
 # overflow, allocation and floating point failures.
@@ -239,10 +237,11 @@ def cmd_render(args):
 
 
 def main(argv=None):
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10, help="admissibility tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for random generation")
-    common.add_argument("--quiet", action="store_true", help="suppress summary output")
+    # each flag goes only on the commands that read it
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=ADMISSIBLE_TOL, help="admissibility tolerance")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress summary output")
 
     parser = argparse.ArgumentParser(
         prog="torustutte",
@@ -250,37 +249,40 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a mesh file")
+    p = sub.add_parser("validate", parents=[quiet], help="validate a mesh file")
     p.add_argument("--mesh", required=True)
     p.add_argument("--placement")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a grid fixture")
+    p = sub.add_parser("gen", parents=[quiet], help="generate a grid fixture")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--out-mesh", required=True)
     p.add_argument("--out-placement")
     p.add_argument("--perturb", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the perturbation")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("embed", parents=[common], help="balanced placement of admissible weights")
+    p = sub.add_parser(
+        "embed", parents=[tol, quiet], help="balanced placement of admissible weights"
+    )
     p.add_argument("--mesh", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out-placement", required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("mvc", parents=[common], help="mean value weights of an embedding")
+    p = sub.add_parser("mvc", parents=[quiet], help="mean value weights of an embedding")
     p.add_argument("--mesh", required=True)
     p.add_argument("--placement", required=True)
     p.add_argument("--out-weights", required=True)
     p.set_defaults(func=cmd_mvc)
 
-    p = sub.add_parser("energy", parents=[common], help="balance energy of weights")
+    p = sub.add_parser("energy", parents=[tol], help="balance energy of weights")
     p.add_argument("--mesh", required=True)
     p.add_argument("--weights", required=True)
     p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser("retract", parents=[common], help="flow weights to admissibility")
+    p = sub.add_parser("retract", parents=[tol, quiet], help="flow weights to admissibility")
     p.add_argument("--mesh", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--max-steps", type=int, default=200_000)
@@ -288,7 +290,7 @@ def main(argv=None):
     p.add_argument("--out-weights")
     p.set_defaults(func=cmd_retract)
 
-    p = sub.add_parser("morph", parents=[common], help="morph between two embeddings")
+    p = sub.add_parser("morph", parents=[tol, quiet], help="morph between two embeddings")
     p.add_argument("--mesh", required=True)
     p.add_argument("--from", dest="from_path", required=True)
     p.add_argument("--to", dest="to_path", required=True)
@@ -298,13 +300,13 @@ def main(argv=None):
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=cmd_morph)
 
-    p = sub.add_parser("index", parents=[common], help="one-form index report")
+    p = sub.add_parser("index", help="one-form index report")
     p.add_argument("--mesh", required=True)
     p.add_argument("--placement", required=True)
     p.add_argument("--direction", type=float, help="direction angle in radians")
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("render", parents=[common], help="render a placement to SVG")
+    p = sub.add_parser("render", parents=[quiet], help="render a placement to SVG")
     p.add_argument("--mesh", required=True)
     p.add_argument("--placement", required=True)
     p.add_argument("--out", required=True)

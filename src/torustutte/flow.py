@@ -67,10 +67,14 @@ class FlowSample:
 
 @dataclass(frozen=True)
 class FlowTrace:
+    """Every accepted state in order, the initial one first, and how the run ended."""
+
     samples: list
     status: str
-    final_weights: WeightAssignment
-    steps: int
+    steps = property(lambda self: len(self.samples) - 1, doc="Accepted steps.")
+    final_weights = property(
+        lambda self: WeightAssignment(self.samples[-1].weights), doc="Last sample's weights."
+    )
 
 
 def _ramp(t):
@@ -173,19 +177,15 @@ def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
     rev = mesh.reverse_index
     report = _solve(mesh, WeightAssignment(values), tol)[1]
     samples = [
-        FlowSample(0.0, values.copy(), report.energy, float(values.min()), _asym_bound(values, rev))
+        FlowSample(0.0, values, report.energy, float(values.min()), _asym_bound(values, rev))
     ]
     if report.energy <= tol:
-        return FlowTrace(samples, ALREADY_ADMISSIBLE, WeightAssignment(values), 0)
+        return FlowTrace(samples, ALREADY_ADMISSIBLE)
 
-    t = 0.0
     dt = DT_INIT
-    steps = 0
-    status = BUDGET_EXCEEDED
-    while steps < max_steps:
+    while len(samples) <= max_steps:  # the initial state plus one per accepted step
         velocity = _velocity(mesh, values, report.projections)
         asym = _asym_bound(values, rev)
-        accepted = False
         while dt >= DT_MIN:
             trial = values + dt * velocity
             if not np.isfinite(trial).all() or (trial <= 0).any():
@@ -199,20 +199,16 @@ def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
                 and report_t.energy < report.energy
                 and _asym_bound(trial, rev) <= asym + 1e-12
             ):
-                accepted = True
                 break
             dt *= 0.5
-        if not accepted:
+        else:  # every trial failed before dt fell below DT_MIN
             break
-        steps += 1
-        t += dt
         values = trial
         report = report_t
         samples.append(FlowSample(
-            t, values.copy(), report.energy, float(values.min()), _asym_bound(values, rev)
+            samples[-1].t + dt, values, report.energy, float(values.min()), _asym_bound(values, rev)
         ))
         if report.energy <= tol:
-            status = CONVERGED
-            break
+            return FlowTrace(samples, CONVERGED)
         dt = min(dt * 2.0, DT_MAX)
-    return FlowTrace(samples, status, WeightAssignment(values), steps)
+    return FlowTrace(samples, BUDGET_EXCEEDED)

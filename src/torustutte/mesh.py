@@ -291,6 +291,23 @@ class TorusTriangulation:
         """Lattice shift of the directed edge (i, j) as an int array."""
         return self.shifts[self.edge_index[(i, j)]]
 
+    def aligned_values(self, mapping, name):
+        """An ``{(i, j): value}`` mapping as floats aligned with ``directed_edges``;
+        ValueError names a missing edge or a non-edge key, calling the values ``name``."""
+        mapping = {(int(i), int(j)): float(w) for (i, j), w in mapping.items()}
+        keys = list(mapping)
+        ids = self.edge_ids([i for i, _ in keys], [j for _, j in keys])
+        covered = np.zeros(len(self.directed_edges), dtype=bool)
+        covered[ids[ids >= 0]] = True
+        if not covered.all():
+            i, j = self.directed_edges[np.argmin(covered)].tolist()
+            raise ValueError(f"missing {name} for directed edge {(i, j)}")
+        if (ids < 0).any():
+            raise ValueError(f"{name} given for non-edge {keys[int(np.argmax(ids < 0))]}")
+        values = np.empty(len(covered))
+        values[ids] = list(mapping.values())
+        return values
+
 
 def build_mesh(faces, shifts=None, vertex_count=None):
     """Validate faces and shifts and return a :class:`TorusTriangulation`.

@@ -42,10 +42,8 @@ def one_form_from_values(mesh, values):
 
 
 def one_form_from_dict(mesh, mapping):
-    values = np.array(
-        [float(mapping[(int(i), int(j))]) for i, j in mesh.directed_edges]
-    )
-    return one_form_from_values(mesh, values)
+    """One-form from an ``{(i, j): value}`` mapping over every directed edge."""
+    return one_form_from_values(mesh, mesh.aligned_values(mapping, "one-form value"))
 
 
 def direction_form(mesh, placement, direction):
@@ -54,13 +52,13 @@ def direction_form(mesh, placement, direction):
     return DiscreteOneForm(edge_vectors(mesh, placement) @ direction)
 
 
-def _sign_changes(values, offsets, tol=ZERO_TOL):
+def _sign_changes(values, offsets):
     """Cyclic sign changes in every segment values[offsets[s]:offsets[s + 1]].
 
-    Zeros are skipped; a segment whose values are all zero gives -1.
+    Zeros (|v| <= ZERO_TOL) are skipped; a segment of zeros gives -1.
     """
     segment = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    keep = np.abs(values) > tol
+    keep = np.abs(values) > ZERO_TOL
     segment, positive = segment[keep], values[keep] > 0
     counts = np.bincount(segment, minlength=len(offsets) - 1)
     ends = np.cumsum(counts)[counts > 0]
@@ -71,22 +69,22 @@ def _sign_changes(values, offsets, tol=ZERO_TOL):
     return np.where(counts > 0, changes, -1).astype(int)
 
 
-def sign_changes_vertex(mesh, form, v, tol=ZERO_TOL):
+def sign_changes_vertex(mesh, form, v):
     """Cyclic sign changes of the form on outgoing edges at v."""
     lo, hi = mesh.rotation_offsets[v:v + 2]
-    sc = int(_sign_changes(form.values[mesh.rotation_edges[lo:hi]], [0, hi - lo], tol)[0])
+    sc = int(_sign_changes(form.values[mesh.rotation_edges[lo:hi]], [0, hi - lo])[0])
     if sc < 0:
         raise DegenerateVertexError(f"form vanishes on every edge at vertex {v}")
     return sc
 
 
-def index_vertex(mesh, form, v, tol=ZERO_TOL):
+def index_vertex(mesh, form, v):
     """(2 - sc) / 2 at a vertex; 0 for local injectivity, negative at folds."""
-    return (2 - sign_changes_vertex(mesh, form, v, tol)) / 2
+    return (2 - sign_changes_vertex(mesh, form, v)) / 2
 
 
-def sign_changes_face(mesh, form, face_index, tol=ZERO_TOL):
-    sc = int(_sign_changes(form.values[mesh.face_edges[face_index]], [0, 3], tol)[0])
+def sign_changes_face(mesh, form, face_index):
+    sc = int(_sign_changes(form.values[mesh.face_edges[face_index]], [0, 3])[0])
     if sc < 0:
         raise DegenerateFaceError(
             f"form vanishes on every edge of face {face_index}"
@@ -94,8 +92,8 @@ def sign_changes_face(mesh, form, face_index, tol=ZERO_TOL):
     return sc
 
 
-def index_face(mesh, form, face_index, tol=ZERO_TOL):
-    return (2 - sign_changes_face(mesh, form, face_index, tol)) / 2
+def index_face(mesh, form, face_index):
+    return (2 - sign_changes_face(mesh, form, face_index)) / 2
 
 
 @dataclass(frozen=True)
@@ -118,16 +116,16 @@ class IndexReport:
     nonvanishing: bool
 
 
-def index_theorem_check(mesh, form, tol=ZERO_TOL):
+def index_theorem_check(mesh, form):
     """Compute all vertex and face indices and their exact total."""
     values = form.values
-    zero = np.abs(values) <= tol
+    zero = np.abs(values) <= ZERO_TOL
     src, dst = mesh.directed_edges.T
     degenerate_edges = list(map(tuple, mesh.directed_edges[zero & (src < dst)].tolist()))
 
-    by_vertex = _sign_changes(values[mesh.rotation_edges], mesh.rotation_offsets, tol)
+    by_vertex = _sign_changes(values[mesh.rotation_edges], mesh.rotation_offsets)
     by_face = _sign_changes(
-        values[mesh.face_edges.ravel()], np.arange(0, mesh.face_edges.size + 1, 3), tol
+        values[mesh.face_edges.ravel()], np.arange(0, mesh.face_edges.size + 1, 3)
     )
     defined = np.concatenate([by_vertex, by_face])
     defined = defined[defined >= 0]

@@ -14,7 +14,7 @@ from .errors import ShiftConflictError
 from .flow import FlowSample, FlowTrace
 from .geometry import Placement
 from .mesh import build_mesh
-from .tutte import WeightAssignment, weights_from_dict
+from .tutte import weights_from_dict
 
 
 def dump_json(obj, path=None):
@@ -103,9 +103,9 @@ def trace_to_jsonl(trace, path=None):
     return text
 
 
-def trace_from_jsonl(text, status=None, steps=None):
-    """Rebuild samples from JSONL text; status and steps are not stored
-    in the records, pass them when a full FlowTrace is needed."""
+def trace_from_jsonl(text, status=None):
+    """Rebuild a FlowTrace from JSONL text. The status is not stored in
+    the records; pass it when it matters, otherwise it is ``unknown``."""
     samples = []
     for line in text.splitlines():
         if not line.strip():
@@ -120,9 +120,6 @@ def trace_from_jsonl(text, status=None, steps=None):
                 asym_bound=rec["asym_bound"],
             )
         )
-    return FlowTrace(
-        samples=samples,
-        status=status or "unknown",
-        final_weights=WeightAssignment(samples[-1].weights.copy()),
-        steps=steps if steps is not None else max(len(samples) - 1, 0),
-    )
+    if not samples:
+        raise ValueError("flow trace has no records")
+    return FlowTrace(samples=samples, status=status or "unknown")

@@ -302,6 +302,52 @@ def test_quiet_suppresses_output(workspace, capsys):
     assert out.out == ""
 
 
+# the shared flags each command reads; any other use is an unknown flag
+READS = {
+    "validate": {"--quiet"},
+    "gen": {"--seed", "--quiet"},
+    "embed": {"--tol", "--quiet"},
+    "mvc": {"--quiet"},
+    "energy": {"--tol"},
+    "retract": {"--tol", "--quiet"},
+    "morph": {"--tol", "--quiet"},
+    "index": set(),
+    "render": {"--quiet"},
+}
+FLAG_ARGS = {"--tol": ["--tol", "1e-9"], "--seed": ["--seed", "1"], "--quiet": ["--quiet"]}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_ARGS))
+@pytest.mark.parametrize("command", list(READS))
+def test_shared_flag_only_where_read(workspace, tmp_path, capsys, command, flag):
+    _, placement, paths = workspace
+    mesh, weights, d = paths["mesh"], paths["weights"], paths["dir"]
+    place = d / "grid.json"
+    dump_json(placement_to_json(placement), place)
+    argv = {
+        "validate": ["--mesh", mesh],
+        "gen": ["--size", 3, "--out-mesh", d / "gen.json"],
+        "embed": ["--mesh", mesh, "--weights", weights, "--out-placement", d / "p.json"],
+        "mvc": ["--mesh", mesh, "--placement", place, "--out-weights", d / "w.json"],
+        "energy": ["--mesh", mesh, "--weights", weights],
+        "retract": ["--mesh", mesh, "--weights", weights],
+        "morph": ["--mesh", mesh, "--from", place, "--to", place, "--steps", 2,
+                  "--out-dir", d / "frames"],
+        "index": ["--mesh", mesh, "--placement", place],
+        "render": ["--mesh", mesh, "--placement", place, "--out", d / "t.svg"],
+    }[command]
+    try:
+        code, out = run(capsys, [command, *argv, *FLAG_ARGS[flag]])
+    except SystemExit as exc:
+        code, out = exc.code, capsys.readouterr()
+    if flag in READS[command]:
+        assert code == 0
+        assert (out.out == "") == (flag == "--quiet")
+    else:
+        assert code == 2
+        assert f"unrecognized arguments: {FLAG_ARGS[flag][0]}" in out.err
+
+
 @pytest.mark.parametrize("error", [OverflowError, MemoryError, FloatingPointError])
 def test_arithmetic_and_memory_errors_exit_3(workspace, capsys, monkeypatch, error):
     _, _, paths = workspace

@@ -117,7 +117,7 @@ def test_trace_jsonl_round_trip(grid3, tmp_path):
     lines = [json.loads(line) for line in text.splitlines()]
     assert len(lines) == len(trace.samples)
     assert sorted(lines[0]) == ["asym_bound", "energy", "min_weight", "t", "weights"]
-    rebuilt = trace_from_jsonl(text, status=trace.status, steps=trace.steps)
+    rebuilt = trace_from_jsonl(text, status=trace.status)
     assert rebuilt.status == trace.status
     assert rebuilt.steps == trace.steps
     for a, b in zip(rebuilt.samples, trace.samples):
@@ -139,3 +139,8 @@ def test_trace_defaults(grid3):
     rebuilt = trace_from_jsonl(trace_to_jsonl(trace))
     assert rebuilt.status == "unknown"
     assert rebuilt.steps == len(trace.samples) - 1
+
+
+def test_trace_without_records_rejected():
+    with pytest.raises(ValueError, match="no records"):
+        trace_from_jsonl("\n")

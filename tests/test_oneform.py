@@ -81,6 +81,19 @@ def test_from_dict_round_trip(grid3):
     assert np.array_equal(rebuilt.values, form.values)
 
 
+def test_from_dict_rejects_non_edges_and_gaps(grid3):
+    mesh, _ = grid3
+    mapping = {
+        (int(i), int(j)): float(v)
+        for (i, j), v in zip(mesh.directed_edges, antisymmetric_fill(mesh))
+    }
+    with pytest.raises(ValueError, match=r"one-form value given for non-edge \(0, 99\)$"):
+        one_form_from_dict(mesh, {**mapping, (0, 99): 1.0})
+    del mapping[(1, 0)]
+    with pytest.raises(ValueError, match=r"missing one-form value for directed edge \(1, 0\)$"):
+        one_form_from_dict(mesh, mapping)
+
+
 # ---------------------------------------------------------------------------
 # Sign changes and indices
 
