@@ -55,20 +55,17 @@ def _emit(args, obj):
         sys.stdout.write(serialize.dump_json(obj))
 
 
-def _load_mesh(path):
-    return serialize.mesh_from_json(serialize.load_json(path))
-
-
-def _load_weights(mesh, path):
-    return serialize.weights_from_json(mesh, serialize.load_json(path))
-
-
-def _load_placement(path):
-    return serialize.placement_from_json(serialize.load_json(path))
+def _load(path, parse, *context):
+    """Read a JSON file and ``parse(*context, document)`` it. A value of the
+    wrong type, such as null faces or a number for a list, is an input error."""
+    try:
+        return parse(*context, serialize.load_json(path))
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: value of the wrong type: {exc}") from exc
 
 
 def cmd_validate(args):
-    mesh = _load_mesh(args.mesh)
+    mesh = _load(args.mesh, serialize.mesh_from_json)
     loops = generator_loops(mesh)
     out = {
         "valid": True,
@@ -78,7 +75,7 @@ def cmd_validate(args):
         "generator_lengths": [len(loops.horizontal), len(loops.vertical)],
     }
     if args.placement:
-        report = verify_embedding(mesh, _load_placement(args.placement))
+        report = verify_embedding(mesh, _load(args.placement, serialize.placement_from_json))
         out["embedding"] = {
             "is_embedding": report.is_embedding,
             "degree": report.degree,
@@ -103,8 +100,8 @@ def cmd_gen(args):
 
 
 def cmd_embed(args):
-    mesh = _load_mesh(args.mesh)
-    weights = _load_weights(mesh, args.weights)
+    mesh = _load(args.mesh, serialize.mesh_from_json)
+    weights = _load(args.weights, serialize.weights_from_json, mesh)
     placement = tutte_map(mesh, weights, args.tol)
     serialize.dump_json(serialize.placement_to_json(placement), args.out_placement)
     report = verify_embedding(mesh, placement)
@@ -121,8 +118,8 @@ def cmd_embed(args):
 
 
 def cmd_mvc(args):
-    mesh = _load_mesh(args.mesh)
-    placement = _load_placement(args.placement)
+    mesh = _load(args.mesh, serialize.mesh_from_json)
+    placement = _load(args.placement, serialize.placement_from_json)
     weights = mean_value_weights(mesh, placement)
     serialize.dump_json(serialize.weights_to_json(mesh, weights), args.out_weights)
     _emit(
@@ -136,8 +133,8 @@ def cmd_mvc(args):
 
 
 def cmd_energy(args):
-    mesh = _load_mesh(args.mesh)
-    weights = _load_weights(mesh, args.weights)
+    mesh = _load(args.mesh, serialize.mesh_from_json)
+    weights = _load(args.weights, serialize.weights_from_json, mesh)
     report = residual_structure(mesh, weights, args.tol)
     sys.stdout.write(
         serialize.dump_json(
@@ -148,8 +145,8 @@ def cmd_energy(args):
 
 
 def cmd_retract(args):
-    mesh = _load_mesh(args.mesh)
-    weights = _load_weights(mesh, args.weights)
+    mesh = _load(args.mesh, serialize.mesh_from_json)
+    weights = _load(args.weights, serialize.weights_from_json, mesh)
     trace = retract(mesh, weights, tol=args.tol, max_steps=args.max_steps)
     if args.trace:
         serialize.trace_to_jsonl(trace, args.trace)
@@ -170,9 +167,9 @@ def cmd_retract(args):
 
 
 def cmd_morph(args):
-    mesh = _load_mesh(args.mesh)
-    start = _load_placement(args.from_path)
-    end = _load_placement(args.to_path)
+    mesh = _load(args.mesh, serialize.mesh_from_json)
+    start = _load(args.from_path, serialize.placement_from_json)
+    end = _load(args.to_path, serialize.placement_from_json)
     frames = morph(mesh, start, end, args.steps, tol=args.tol, max_steps=args.max_steps)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -196,8 +193,8 @@ def cmd_morph(args):
 
 
 def cmd_index(args):
-    mesh = _load_mesh(args.mesh)
-    placement = _load_placement(args.placement)
+    mesh = _load(args.mesh, serialize.mesh_from_json)
+    placement = _load(args.placement, serialize.placement_from_json)
     if args.direction is not None:
         angle = args.direction
         form = direction_form(mesh, placement, np.array([np.cos(angle), np.sin(angle)]))
@@ -222,8 +219,8 @@ def cmd_index(args):
 
 
 def cmd_render(args):
-    mesh = _load_mesh(args.mesh)
-    placement = _load_placement(args.placement)
+    mesh = _load(args.mesh, serialize.mesh_from_json)
+    placement = _load(args.placement, serialize.placement_from_json)
     svg = render_svg(
         mesh,
         placement,

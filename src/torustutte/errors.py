@@ -76,7 +76,8 @@ class AdmissibleInputError(TorusTutteError):
 
 
 class NonFiniteStateError(TorusTutteError):
-    """The flow produced non-finite values; signals a step-size bug."""
+    """The flow met non-finite values: the balance solve of its initial
+    weights, or a state past the step-size guard, which signals a bug."""
 
 
 class DegenerateVertexError(TorusTutteError):

@@ -181,6 +181,8 @@ def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
     ]
     if report.energy <= tol:
         return FlowTrace(samples, ALREADY_ADMISSIBLE)
+    if not report.energy < math.inf:
+        raise NonFiniteStateError(f"balance energy of the initial weights is {report.energy}")
 
     dt = DT_INIT
     while len(samples) <= max_steps:  # the initial state plus one per accepted step

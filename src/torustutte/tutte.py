@@ -21,10 +21,15 @@ projection of -b onto pi, a closed form in the drift d = pi^T b:
 It has rank one, every row points along the shared residual direction
 -d / |d|, and row norms are reproduced by weighted sums of the edge
 projections u_ij onto that direction. The retraction flow is built
-entirely from this structure. Each solve factors A without vertex 0
-once, by sparse LU, and gets both pi and the placement from it. The
-residual report stores pi and d and derives the residual rows and the
-direction from them; nothing is recovered by an SVD.
+entirely from this structure; the residual report stores pi and d and
+derives the rest, so nothing is recovered by an SVD.
+
+Each solve factors A[1:, 1:]^T once, by sparse LU, for both pi and the
+placement. -A[1:, 1:] is a nonsingular M-matrix (rows diagonally
+dominant, strictly next to vertex 0, and the mesh stays connected
+without it), so its transpose stays column diagonally dominant under
+symmetric permutation and elimination: diagonal pivots are safe, and a
+minimum degree ordering of the symmetric pattern replaces a column one.
 """
 
 import math
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.sparse.linalg import splu
 
 from .errors import (
     EmbeddingCheckFailedError,
@@ -122,43 +127,63 @@ class ResidualReport:
         return None if self.projections is None else -self.drift / np.linalg.norm(self.drift)
 
 
+def _assemble(mesh, values, first):
+    """CSC arrays of A(w)^T without the vertices below ``first``, and b(w).
+
+    The sorted directed edges are A's off-diagonal entries in row-major
+    order, so A^T's in column-major order; each column only gains its
+    diagonal -sum_j w_ij, which keeps the weights of masked edges.
+    """
+    src, dst = mesh.directed_edges.T
+    total = mesh.vertex_count
+    rhs = np.column_stack([np.bincount(src, -values * s, minlength=total) for s in mesh.shifts.T])
+    diag = -np.bincount(src, values, minlength=total)[first:]
+    keep = (src >= first) & (dst >= first)
+    src, dst, n = src[keep] - first, dst[keep] - first, total - first
+    upper = dst > src
+    # an edge moves past one diagonal per earlier column, and past its own if above it
+    slot = np.arange(len(src)) + src + upper
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n) + 1)]).astype(np.int32)
+    at = indptr[:-1] + np.bincount(src[~upper], minlength=n)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    data[slot], data[at] = values[keep], diag
+    indices[slot], indices[at] = dst, np.arange(n)
+    return (data, indices, indptr), rhs
+
+
 def assemble_system(mesh, weights):
     """Assemble A(w) as a sparse CSC matrix and b(w) as an (n, 2) array."""
-    values = _validated_values(mesh, weights)
-    n = mesh.vertex_count
-    src = mesh.directed_edges[:, 0]
-    dst = mesh.directed_edges[:, 1]
-    # duplicate (i, i) entries are summed into the diagonal -sum_j w_ij
-    rows = np.concatenate([src, src])
-    cols = np.concatenate([dst, src])
-    matrix = scipy.sparse.csc_matrix((np.concatenate([values, -values]), (rows, cols)), shape=(n, n))
-    rhs = np.zeros((n, 2))
-    np.subtract.at(rhs, src, values[:, None] * mesh.shifts)
-    return BalanceSystem(matrix=matrix, rhs=rhs)
+    arrays, rhs = _assemble(mesh, _validated_values(mesh, weights), 0)
+    # the CSC arrays of A^T, read row-major, are A
+    return BalanceSystem(matrix=scipy.sparse.csr_matrix(arrays).tocsc(), rhs=rhs)
 
 
 def _solve(mesh, weights, tol):
-    """Pinned least squares from one sparse LU of A without vertex 0.
+    """Pinned least squares from one sparse LU of A[1:, 1:]^T.
 
-    A transposed solve gives the stationary vector pi with pi_0 = 1, the
-    closed form gives residual and energy from d = pi^T b, and a plain
-    solve of the consistent system A x = b + r gives the coordinates.
-    Returns (coords, ResidualReport).
+    That is the matrix the sorted edge table gives, so ``trans`` swaps
+    on both solves: a plain solve gives the stationary vector pi with
+    pi_0 = 1, the closed form gives residual and energy from d = pi^T b,
+    and a transposed solve of the consistent system A x = b + r gives
+    the coordinates. Returns (coords, ResidualReport).
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     values = _validated_values(mesh, weights)
-    system = assemble_system(mesh, weights)
-    matrix, rhs = system.matrix, system.rhs
+    arrays, rhs = _assemble(mesh, values, 1)
+    matrix = scipy.sparse.csc_matrix(arrays)
     try:
-        lu = scipy.sparse.linalg.splu(matrix[1:, 1:])
+        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(f"reduced balance matrix is singular: {exc}") from exc
-    pi = np.concatenate([[1.0], lu.solve(-matrix[0, 1:].toarray().ravel(), trans="T")])
+    # pi^T A = 0 and pi_0 = 1 leave A[1:, 1:]^T pi[1:] = -A[0, 1:]^T
+    deg0 = mesh.degree(0)
+    pull = np.bincount(mesh.directed_edges[:deg0, 1] - 1, -values[:deg0], minlength=len(rhs) - 1)
+    pi = np.concatenate([[1.0], lu.solve(pull)])
     pi_sq = float(pi @ pi)
     drift = pi @ rhs
     residual = np.outer(pi, -drift / pi_sq)
-    free = lu.solve(rhs[1:] + residual[1:])
+    free = lu.solve(rhs[1:] + residual[1:], trans="T")
     coords = np.vstack([np.zeros((1, 2)), free])
     drift_norm = float(np.linalg.norm(drift))
     energy = drift_norm**2 / pi_sq

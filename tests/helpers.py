@@ -11,8 +11,9 @@ import math
 from collections import deque
 
 import numpy as np
+import scipy.sparse.linalg
 
-from torustutte import edge_vectors, face_signed_areas
+from torustutte import WeightAssignment, assemble_system, edge_vectors, face_signed_areas
 from torustutte.errors import (
     BadFaceError,
     BadOrientationError,
@@ -368,6 +369,24 @@ def oracle_solve(mesh, values):
     coords = np.vstack([np.zeros((1, 2)), free])
     residual = reduced @ free - rhs
     return coords, residual, float(np.sum(residual * residual))
+
+
+def oracle_colamd_solve(mesh, values):
+    """The balance solve by a COLAMD-ordered, partially pivoted LU of A[1:, 1:].
+
+    A transposed solve gives pi with pi_0 = 1 and a plain one the
+    coordinates, the other way round from the production solver, which
+    factors A[1:, 1:]^T in a symmetric ordering with diagonal pivots.
+    Returns (coords, pi, drift, energy).
+    """
+    system = assemble_system(mesh, WeightAssignment(values))
+    matrix, rhs = system.matrix, system.rhs
+    lu = scipy.sparse.linalg.splu(matrix[1:, 1:])
+    pi = np.concatenate([[1.0], lu.solve(-matrix[0, 1:].toarray().ravel(), trans="T")])
+    drift = pi @ rhs
+    pi_sq = float(pi @ pi)
+    free = lu.solve(rhs[1:] - np.outer(pi[1:], drift / pi_sq))
+    return np.vstack([np.zeros((1, 2)), free]), pi, drift, float(drift @ drift) / pi_sq
 
 
 def oracle_left_null(matrix):

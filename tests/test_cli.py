@@ -290,6 +290,37 @@ def test_validate_huge_vertex_id_exit_code(workspace, tmp_path, capsys):
     assert f"{2**70}) has a vertex id outside int64" in out.err
 
 
+def _null_first_weight(mesh):
+    doc = weights_to_json(mesh, uniform_weights(mesh))
+    doc["weights"][0][2] = None
+    return doc
+
+
+WRONGLY_TYPED = {
+    "null faces": ("mesh", lambda mesh: dict(mesh_to_json(mesh), faces=None)),
+    "null weight": ("weights", _null_first_weight),
+    "number for weights": ("weights", lambda mesh: {"weights": 5}),
+    "top-level list": (
+        "weights", lambda mesh: weights_to_json(mesh, uniform_weights(mesh))["weights"]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONGLY_TYPED))
+def test_wrongly_typed_document_exit_code(workspace, tmp_path, capsys, case):
+    """Valid JSON whose values have the wrong type is an input error, not a crash."""
+    mesh, _, paths = workspace
+    kind, make = WRONGLY_TYPED[case]
+    bad = tmp_path / "bad.json"
+    dump_json(make(mesh), bad)
+    argv = ["validate", "--mesh", bad]
+    if kind == "weights":
+        argv = ["energy", "--mesh", paths["mesh"], "--weights", bad]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out.err.startswith(f"error: {bad}: value of the wrong type: ")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, out = run(capsys, ["validate", "--mesh", tmp_path / "nope.json"])
     assert code == 2

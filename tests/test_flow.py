@@ -22,7 +22,7 @@ from torustutte import (
     tutte_map,
     uniform_weights,
 )
-from torustutte.errors import AdmissibleInputError
+from torustutte.errors import AdmissibleInputError, NonFiniteStateError
 
 GRID3_GAP = 0.23570226039551584  # 1 / (3 sqrt 2)
 
@@ -298,3 +298,36 @@ def test_retract_dissipation_along_trajectory(grid3):
             2.0 * constants.asym_bound
         )
         assert float(np.dot(report.projections, theta)) <= bound + 1e-12
+
+
+def test_retract_rejects_initial_weights_without_finite_solve():
+    """Weights 1e300 and 1e-300 overflow the solve; the flow reports it, not a TypeError."""
+    mesh, _ = gen_grid(3)
+    coin = np.random.default_rng(0).random(len(mesh.directed_edges)) < 0.5
+    with pytest.raises(NonFiniteStateError, match="balance energy of the initial weights"):
+        retract(mesh, WeightAssignment(np.where(coin, 1e300, 1e-300)))
+
+
+# (m, weights, seed, status, steps, final energy, final t) as recorded with
+# a COLAMD-ordered LU of A[1:, 1:]; another factorization of the same
+# matrix may move last bits, never an accepted step
+PINNED_RETRACTIONS = [
+    (8, "uniform", 0, CONVERGED, 18, 2.9092175889791482e-11, 0.11817382812500002),
+    (8, "log-uniform", 1, CONVERGED, 21, 9.371395524393204e-11, 1.5929742431640626),
+    (8, "log-uniform", 2, CONVERGED, 33, 4.013358206300966e-11, 1.9348779296875),
+    (12, "uniform", 0, CONVERGED, 17, 8.948030496176317e-11, 0.150146484375),
+    (12, "log-uniform", 1, CONVERGED, 18, 1.5995146074279316e-11, 1.1790185546875),
+    (12, "log-uniform", 2, CONVERGED, 25, 2.769040178481575e-11, 1.0179925537109376),
+]
+
+
+@pytest.mark.parametrize("m, kind, seed, status, steps, energy, t", PINNED_RETRACTIONS)
+def test_retract_trajectory_pinned(m, kind, seed, status, steps, energy, t):
+    mesh, _ = gen_grid(m)
+    rng = np.random.default_rng(seed)
+    count = len(mesh.directed_edges)
+    values = rng.uniform(0.5, 2.0, count) if kind == "uniform" else 10 ** rng.uniform(-2, 2, count)
+    trace = retract(mesh, WeightAssignment(values))
+    assert (trace.status, trace.steps) == (status, steps)
+    assert trace.samples[-1].energy == pytest.approx(energy, rel=1e-6, abs=0)
+    assert trace.samples[-1].t == pytest.approx(t, rel=1e-6, abs=0)

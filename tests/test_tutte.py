@@ -338,12 +338,33 @@ def test_bad_tol_rejected_everywhere(grid3, entry, tol):
         TOL_ENTRY_POINTS[entry](mesh, single_asymmetry(mesh), tol)
 
 
+def stiff_weights(mesh, kind, rng):
+    if kind == "log-uniform":
+        return 10 ** rng.uniform(-3, 3, len(mesh.directed_edges))
+    src, dst = mesh.directed_edges.T
+    return helpers.random_symmetric_weights(mesh, rng, 0.5, 2.0) * np.where(src < dst, 50.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["log-uniform", "forward 50x reverse"])
+@pytest.mark.parametrize("name", ["grid12", "diagonal12"])
+def test_solve_matches_colamd_lu_on_stiff_weights(name, kind):
+    """Diagonal pivots in a symmetric ordering agree with partial pivoting."""
+    mesh = gen_grid(12)[0] if name == "grid12" else RESIDUAL_MESHES[name]()
+    values = stiff_weights(mesh, kind, np.random.default_rng(2))
+    placement, report = solve_balance(mesh, WeightAssignment(values))
+    coords, pi, drift, energy = helpers.oracle_colamd_solve(mesh, values)
+    for got, want in ((placement.coords, coords), (report.pi, pi), (report.drift, drift)):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert report.energy == pytest.approx(energy, rel=1e-10, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # Accuracy across sizes
 
-@pytest.mark.parametrize("m", [16, 17])
+@pytest.mark.parametrize("m", [16, 17, 64])
 def test_solve_has_no_size_cliff(m):
-    """Same accuracy on both sides of n = 256, where a dense/sparse split once sat."""
+    """Same accuracy on both sides of n = 256, where a dense/sparse split once
+    sat, and at 4 096 vertices."""
     mesh, placement = gen_grid(m)
     coords, report = solve_balance(mesh, uniform_weights(mesh))
     assert report.energy <= 1e-24
