@@ -59,7 +59,9 @@ class NonPositiveWeightError(TorusTutteError):
 
 class SingularSystemError(TorusTutteError):
     """The sparse LU of the balance matrix without vertex 0 found it
-    exactly singular; unreachable for validated meshes."""
+    exactly singular. The matrix is nonsingular in exact arithmetic for
+    every validated mesh, but weights near the bottom of the float range,
+    such as all 5e-324, underflow it to singular."""
 
 
 class NotAdmissibleError(TorusTutteError):
@@ -76,8 +78,8 @@ class AdmissibleInputError(TorusTutteError):
 
 
 class NonFiniteStateError(TorusTutteError):
-    """The flow met non-finite values: the balance solve of its initial
-    weights, or a state past the step-size guard, which signals a bug."""
+    """A balance solve of valid weights came out non-finite, or the flow
+    met a state past its step-size guard, which signals a bug."""
 
 
 class DegenerateVertexError(TorusTutteError):

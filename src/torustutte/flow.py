@@ -22,8 +22,18 @@ derived constants:
 
 Integration is explicit Euler with step acceptance: a step counts only
 if the energy strictly drops and the asymmetry bound does not grow;
-otherwise the step halves. Every accepted step re-solves the balance
-system from scratch.
+otherwise the step halves and the trial is solved again. After an
+accepted step a ratio test sets the next step (Nocedal & Wright,
+Numerical Optimization, ch. 4): the residual report gives the energy
+gradient in closed form, by the envelope theorem
+
+    dE/dw_ij = 2 sqrt(E) pi_i u_ij / |pi|,
+
+so the drop predicted along the field is -dt * sum_ij v_ij dE/dw_ij at
+no extra solve. The step doubles when the actual drop is more than 3/4
+of the predicted one, halves when it is less than 1/4, and stays
+otherwise. A trial solve stops at the energy; only an accepted one goes
+on to the coordinates and the edge projections.
 """
 
 import math
@@ -33,7 +43,17 @@ import numpy as np
 
 from .errors import AdmissibleInputError, NonFiniteStateError
 from .mesh import generator_loops
-from .tutte import ADMISSIBLE_TOL, WeightAssignment, _solve, _validated_values, balance_energy
+from .tutte import (
+    ADMISSIBLE_TOL,
+    WeightAssignment,
+    _check_tol,
+    _factor,
+    _finish,
+    _pattern,
+    _solve,
+    _validated_values,
+    balance_energy,
+)
 
 CONVERGED = "converged"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -160,6 +180,13 @@ def flow_velocity(mesh, weights, tol=ADMISSIBLE_TOL):
     return _velocity(mesh, values, report.projections)
 
 
+def _energy_slope(mesh, report, velocity):
+    """dE/dt along ``velocity``: sum_ij v_ij * 2 sqrt(E) pi_i u_ij / |pi|."""
+    pi = report.pi
+    flux = velocity @ (pi[mesh.directed_edges[:, 0]] * report.projections)
+    return 2.0 * math.sqrt(report.energy) * float(flux) / float(np.linalg.norm(pi))
+
+
 def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
     """Integrate the flow until the weights become admissible.
 
@@ -167,26 +194,38 @@ def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
     only if all weights stay finite and positive, the balance energy
     strictly decreases, and the asymmetry bound does not grow; on
     rejection the step halves down to ``DT_MIN``. The first step tries
-    ``DT_INIT``; after each accepted step the next one doubles, capped
-    at ``DT_MAX``. Each trial re-solves the balance system. Returns a
-    FlowTrace whose samples record every accepted state; status is
-    ``converged``, ``already_admissible``, or ``budget_exceeded`` (best
-    weights found are still returned).
+    ``DT_INIT``; after each accepted step the ratio of the actual to the
+    predicted energy drop doubles the next step (capped at ``DT_MAX``)
+    above 3/4, halves it below 1/4, and keeps it otherwise. Each trial
+    factors the balance system once. Returns a FlowTrace whose samples
+    record every accepted state; status is ``converged``,
+    ``already_admissible``, or ``budget_exceeded`` (best weights found
+    are still returned).
     """
+    return _retract(mesh, weights, tol, max_steps)[0]
+
+
+def _retract(mesh, weights, tol, max_steps):
+    """``retract``, plus the balanced coordinates of the last sample."""
+    _check_tol(tol)
     values = _validated_values(mesh, weights).copy()
     rev = mesh.reverse_index
-    report = _solve(mesh, WeightAssignment(values), tol)[1]
+    # one CSC pattern serves every trial of this run
+    pattern = _pattern(mesh, 1)
+    factored = _factor(mesh, values, pattern)
+    if not factored.energy < math.inf:
+        raise NonFiniteStateError(f"balance energy of the initial weights is {factored.energy}")
+    coords, report = _finish(mesh, factored, tol)
     samples = [
         FlowSample(0.0, values, report.energy, float(values.min()), _asym_bound(values, rev))
     ]
-    if report.energy <= tol:
-        return FlowTrace(samples, ALREADY_ADMISSIBLE)
-    if not report.energy < math.inf:
-        raise NonFiniteStateError(f"balance energy of the initial weights is {report.energy}")
+    if report.zero_residual:
+        return FlowTrace(samples, ALREADY_ADMISSIBLE), coords
 
     dt = DT_INIT
     while len(samples) <= max_steps:  # the initial state plus one per accepted step
         velocity = _velocity(mesh, values, report.projections)
+        slope = _energy_slope(mesh, report, velocity)
         asym = _asym_bound(values, rev)
         while dt >= DT_MIN:
             trial = values + dt * velocity
@@ -195,22 +234,27 @@ def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
                     raise NonFiniteStateError("flow state left the positive cone")
                 dt *= 0.5
                 continue
-            report_t = _solve(mesh, WeightAssignment(trial), tol)[1]
+            factored = _factor(mesh, trial, pattern)
             if (
-                np.isfinite(report_t.energy)
-                and report_t.energy < report.energy
+                np.isfinite(factored.energy)
+                and factored.energy < report.energy
                 and _asym_bound(trial, rev) <= asym + 1e-12
             ):
                 break
             dt *= 0.5
         else:  # every trial failed before dt fell below DT_MIN
             break
+        drop, predicted = report.energy - factored.energy, -dt * slope
         values = trial
-        report = report_t
+        coords, report = _finish(mesh, factored, tol)
         samples.append(FlowSample(
             samples[-1].t + dt, values, report.energy, float(values.min()), _asym_bound(values, rev)
         ))
-        if report.energy <= tol:
-            return FlowTrace(samples, CONVERGED)
-        dt = min(dt * 2.0, DT_MAX)
-    return FlowTrace(samples, BUDGET_EXCEEDED)
+        if report.zero_residual:
+            return FlowTrace(samples, CONVERGED), coords
+        # the ratio test drop / predicted, kept free of a division
+        if drop > 0.75 * predicted:
+            dt = min(dt * 2.0, DT_MAX)
+        elif drop < 0.25 * predicted:
+            dt = max(dt * 0.5, DT_MIN)
+    return FlowTrace(samples, BUDGET_EXCEEDED), coords

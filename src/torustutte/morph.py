@@ -4,7 +4,9 @@ Both endpoints are converted to mean value weights, interpolated
 linearly, and each interpolant is retracted to an admissible
 assignment whose balanced placement is the frame. Every frame is then
 an embedding by construction, and the endpoint frames reproduce the
-inputs because mean value weights are already admissible.
+inputs because mean value weights are already admissible. A frame is
+the placement the retraction solved last, certified once here; it is
+exactly ``tutte_map`` of the retraction's final weights.
 """
 
 from dataclasses import dataclass
@@ -12,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotEmbeddedError, RetractFailedError
-from .flow import BUDGET_EXCEEDED, retract
-from .geometry import verify_embedding
+from .flow import BUDGET_EXCEEDED, _retract
+from .geometry import Placement, verify_embedding
 from .mvc import mean_value_weights
-from .tutte import ADMISSIBLE_TOL, WeightAssignment, tutte_map
+from .tutte import ADMISSIBLE_TOL, WeightAssignment, _certify
 
 
 @dataclass(frozen=True)
@@ -45,23 +47,28 @@ def morph(mesh, start, end, steps, tol=ADMISSIBLE_TOL, max_steps=200_000):
     frames = []
     for s in range(steps):
         t = s / (steps - 1)
-        trace = retract(
-            mesh, WeightAssignment((1.0 - t) * w0 + t * w1), tol=tol, max_steps=max_steps
-        )
+        trace, coords = _retract(mesh, WeightAssignment((1.0 - t) * w0 + t * w1), tol, max_steps)
         if trace.status == BUDGET_EXCEEDED:
             raise RetractFailedError(f"retraction at t={t:.4f} did not converge")
-        frames.append(tutte_map(mesh, trace.final_weights, tol))
+        frame = Placement(coords)
+        _certify(mesh, frame)
+        frames.append(frame)
     return frames
+
+
+def max_displacement(frames):
+    """Largest coordinate jump between consecutive frames."""
+    return max(
+        (float(np.abs(a.coords - b.coords).max()) for a, b in zip(frames, frames[1:])),
+        default=0.0,
+    )
 
 
 def verify_morph(mesh, frames):
     """Certify every frame and measure the largest inter-frame jump."""
     reports = [verify_embedding(mesh, f) for f in frames]
-    max_disp = 0.0
-    for a, b in zip(frames, frames[1:]):
-        max_disp = max(max_disp, float(np.abs(a.coords - b.coords).max()))
     return MorphReport(
         frame_reports=reports,
-        max_displacement=max_disp,
+        max_displacement=max_displacement(frames),
         passed=all(r.is_embedding for r in reports),
     )

@@ -30,10 +30,20 @@ dominant, strictly next to vertex 0, and the mesh stays connected
 without it), so its transpose stays column diagonally dominant under
 symmetric permutation and elimination: diagonal pivots are safe, and a
 minimum degree ordering of the symmetric pattern replaces a column one.
+
+A solve runs in two phases. ``_factor`` assembles the matrix on a CSC
+pattern that depends on the mesh alone, factors it, and returns pi, the
+drift and the energy. ``_finish`` solves for the coordinates and builds
+the residual report, with the edge projections the flow needs.
+``_solve`` runs both, so every public entry point sees one solve; the
+retraction flow keeps one pattern per run and finishes only the trial
+steps it accepts, since a rejected trial needs nothing past its energy.
+A solve that is not finite raises NonFiniteStateError once finished.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -41,6 +51,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import (
     EmbeddingCheckFailedError,
+    NonFiniteStateError,
     NonPositiveWeightError,
     NotAdmissibleError,
     SingularSystemError,
@@ -127,70 +138,127 @@ class ResidualReport:
         return None if self.projections is None else -self.drift / np.linalg.norm(self.drift)
 
 
-def _assemble(mesh, values, first):
-    """CSC arrays of A(w)^T without the vertices below ``first``, and b(w).
+class _Pattern(NamedTuple):
+    """Sparsity pattern of A(w)^T without the vertices below ``first``.
+
+    ``keep`` masks the directed edges that stay, ``slot`` is where their
+    weights go in the CSC data and ``at`` where the column diagonals go.
+    """
+
+    first: int
+    keep: np.ndarray
+    slot: np.ndarray
+    at: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _pattern(mesh, first):
+    """CSC pattern of A(w)^T without the vertices below ``first``.
 
     The sorted directed edges are A's off-diagonal entries in row-major
     order, so A^T's in column-major order; each column only gains its
-    diagonal -sum_j w_ij, which keeps the weights of masked edges.
+    diagonal. The pattern depends on the mesh alone, so one serves every
+    weight vector.
     """
     src, dst = mesh.directed_edges.T
-    total = mesh.vertex_count
-    rhs = np.column_stack([np.bincount(src, -values * s, minlength=total) for s in mesh.shifts.T])
-    diag = -np.bincount(src, values, minlength=total)[first:]
     keep = (src >= first) & (dst >= first)
-    src, dst, n = src[keep] - first, dst[keep] - first, total - first
+    src, dst, n = src[keep] - first, dst[keep] - first, mesh.vertex_count - first
     upper = dst > src
     # an edge moves past one diagonal per earlier column, and past its own if above it
     slot = np.arange(len(src)) + src + upper
     indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n) + 1)]).astype(np.int32)
     at = indptr[:-1] + np.bincount(src[~upper], minlength=n)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-    data[slot], data[at] = values[keep], diag
+    indices = np.empty(indptr[-1], dtype=np.int32)
     indices[slot], indices[at] = dst, np.arange(n)
-    return (data, indices, indptr), rhs
+    return _Pattern(first, keep, slot, at, indices, indptr)
+
+
+def _assemble(mesh, values, pattern):
+    """CSC arrays of A(w)^T on ``pattern``, and b(w).
+
+    Each diagonal -sum_j w_ij keeps the weights of masked edges.
+    """
+    src = mesh.directed_edges[:, 0]
+    total = mesh.vertex_count
+    rhs = np.column_stack([np.bincount(src, -values * s, minlength=total) for s in mesh.shifts.T])
+    data = np.empty(len(pattern.indices))
+    data[pattern.slot] = values[pattern.keep]
+    data[pattern.at] = -np.bincount(src, values, minlength=total)[pattern.first:]
+    return (data, pattern.indices, pattern.indptr), rhs
 
 
 def assemble_system(mesh, weights):
     """Assemble A(w) as a sparse CSC matrix and b(w) as an (n, 2) array."""
-    arrays, rhs = _assemble(mesh, _validated_values(mesh, weights), 0)
+    arrays, rhs = _assemble(mesh, _validated_values(mesh, weights), _pattern(mesh, 0))
     # the CSC arrays of A^T, read row-major, are A
     return BalanceSystem(matrix=scipy.sparse.csr_matrix(arrays).tocsc(), rhs=rhs)
 
 
-def _solve(mesh, weights, tol):
-    """Pinned least squares from one sparse LU of A[1:, 1:]^T.
+@dataclass(frozen=True)
+class _Factored:
+    """First phase of a solve: the factor, pi and the energy, no coordinates."""
 
-    That is the matrix the sorted edge table gives, so ``trans`` swaps
-    on both solves: a plain solve gives the stationary vector pi with
-    pi_0 = 1, the closed form gives residual and energy from d = pi^T b,
-    and a transposed solve of the consistent system A x = b + r gives
-    the coordinates. Returns (coords, ResidualReport).
-    """
+    values: np.ndarray
+    lu: object
+    rhs: np.ndarray
+    pi: np.ndarray
+    drift: np.ndarray
+    energy: float
+
+
+def _check_tol(tol):
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    values = _validated_values(mesh, weights)
-    arrays, rhs = _assemble(mesh, values, 1)
-    matrix = scipy.sparse.csc_matrix(arrays)
+
+
+def _factor(mesh, values, pattern):
+    """One sparse LU of A[1:, 1:]^T, then pi, the drift and the energy.
+
+    That is the matrix the sorted edge table gives, so a plain solve
+    gives the stationary vector pi with pi_0 = 1, and the closed form
+    gives the energy from d = pi^T b. ``pattern`` is ``_pattern(mesh, 1)``.
+    Nonfinite values pass through: the caller decides what they mean.
+    """
+    arrays, rhs = _assemble(mesh, values, pattern)
     try:
-        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        lu = splu(
+            scipy.sparse.csc_matrix(arrays),
+            permc_spec="MMD_AT_PLUS_A",
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SingularSystemError(f"reduced balance matrix is singular: {exc}") from exc
     # pi^T A = 0 and pi_0 = 1 leave A[1:, 1:]^T pi[1:] = -A[0, 1:]^T
     deg0 = mesh.degree(0)
     pull = np.bincount(mesh.directed_edges[:deg0, 1] - 1, -values[:deg0], minlength=len(rhs) - 1)
     pi = np.concatenate([[1.0], lu.solve(pull)])
-    pi_sq = float(pi @ pi)
-    drift = pi @ rhs
-    residual = np.outer(pi, -drift / pi_sq)
-    free = lu.solve(rhs[1:] + residual[1:], trans="T")
+    with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite energy is a verdict
+        drift = pi @ rhs
+        energy = float(np.linalg.norm(drift)) ** 2 / float(pi @ pi)
+    return _Factored(values, lu, rhs, pi, drift, energy)
+
+
+def _finish(mesh, factored, tol):
+    """Second phase of a solve: coordinates and the residual report.
+
+    A transposed solve of the consistent system A x = b + r gives the
+    coordinates; the edge projections follow when the energy exceeds
+    ``tol``. Raises NonFiniteStateError when pi, the energy or the
+    coordinates are not finite. Returns (coords, ResidualReport).
+    """
+    pi, drift, energy, values = factored.pi, factored.drift, factored.energy, factored.values
+    residual = np.outer(pi[1:], -drift / float(pi @ pi))
+    free = factored.lu.solve(factored.rhs[1:] + residual, trans="T")
     coords = np.vstack([np.zeros((1, 2)), free])
-    drift_norm = float(np.linalg.norm(drift))
-    energy = drift_norm**2 / pi_sq
+    if not (math.isfinite(energy) and np.isfinite(pi).all() and np.isfinite(free).all()):
+        raise NonFiniteStateError(
+            f"balance solve is not finite (energy {energy}): the weights overflow float range"
+        )
     projections = None
-    # a nonfinite solve gets no projections, so the flow can reject it
-    if tol < energy < math.inf:
-        projections = direction_form(mesh, Placement(coords), -drift / drift_norm).values
+    if energy > tol:
+        direction = -drift / float(np.linalg.norm(drift))
+        projections = direction_form(mesh, Placement(coords), direction).values
     report = ResidualReport(
         pi=pi,
         drift=drift,
@@ -200,6 +268,17 @@ def _solve(mesh, weights, tol):
         zero_residual=energy <= tol,
     )
     return coords, report
+
+
+def _solve(mesh, weights, tol):
+    """Pinned least squares: ``_factor`` then ``_finish``, from one LU.
+
+    Returns (coords, ResidualReport); raises NonFiniteStateError when
+    the solve is not finite.
+    """
+    _check_tol(tol)
+    values = _validated_values(mesh, weights)
+    return _finish(mesh, _factor(mesh, values, _pattern(mesh, 1)), tol)
 
 
 def solve_balance(mesh, weights, tol=ADMISSIBLE_TOL):
@@ -222,6 +301,28 @@ def residual_structure(mesh, weights, tol=ADMISSIBLE_TOL):
     return _solve(mesh, weights, tol)[1]
 
 
+def _certify(mesh, placement):
+    """The embedding certificate of a balanced placement; raises
+    EmbeddingCheckFailedError when it is violated."""
+    certificate = verify_embedding(mesh, placement)
+    if not certificate.is_embedding:
+        raise EmbeddingCheckFailedError(
+            f"balanced placement failed the embedding certificate "
+            f"(min area {certificate.min_area:.3e}, total {certificate.total_area:.12f})"
+        )
+    return certificate
+
+
+def _certified_map(mesh, weights, tol=ADMISSIBLE_TOL):
+    """``tutte_map`` that also returns the certificate it computed."""
+    placement, report = solve_balance(mesh, weights, tol)
+    if report.energy > tol:
+        raise NotAdmissibleError(
+            f"balance energy {report.energy:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return placement, _certify(mesh, placement)
+
+
 def tutte_map(mesh, weights, tol=ADMISSIBLE_TOL):
     """Balanced placement of admissible weights, certified as an embedding.
 
@@ -229,15 +330,4 @@ def tutte_map(mesh, weights, tol=ADMISSIBLE_TOL):
     and EmbeddingCheckFailedError when the certificate is violated,
     which no admissible input should trigger.
     """
-    placement, report = solve_balance(mesh, weights, tol)
-    if report.energy > tol:
-        raise NotAdmissibleError(
-            f"balance energy {report.energy:.3e} exceeds tolerance {tol:.3e}"
-        )
-    certificate = verify_embedding(mesh, placement)
-    if not certificate.is_embedding:
-        raise EmbeddingCheckFailedError(
-            f"balanced placement failed the embedding certificate "
-            f"(min area {certificate.min_area:.3e}, total {certificate.total_area:.12f})"
-        )
-    return placement
+    return _certified_map(mesh, weights, tol)[0]

@@ -1,9 +1,12 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from torustutte import WeightAssignment, gen_grid, uniform_weights
+import torustutte.cli
+import torustutte.tutte
+from torustutte import WeightAssignment, gen_grid, perturb, uniform_weights, verify_embedding
 from torustutte.cli import main
 from torustutte.serialize import (
     dump_json,
@@ -390,3 +393,54 @@ def test_arithmetic_and_memory_errors_exit_3(workspace, capsys, monkeypatch, err
     code, out = run(capsys, ["energy", "--mesh", paths["mesh"], "--weights", paths["weights"]])
     assert code == 3
     assert "error: simulated" in out.err
+
+
+def test_nonfinite_solve_exit_code(tmp_path, capsys):
+    """Weights 1e300 and 1e-300 overflow the balance solve: a numerical failure."""
+    mesh, _ = gen_grid(6)
+    coin = np.random.default_rng(0).random(len(mesh.directed_edges)) < 0.5
+    values = np.where(coin, 1e300, 1e-300)
+    mesh_path, weights_path = tmp_path / "mesh.json", tmp_path / "weights.json"
+    dump_json(mesh_to_json(mesh), mesh_path)
+    dump_json(weights_to_json(mesh, WeightAssignment(values)), weights_path)
+    base = ["--mesh", mesh_path, "--weights", weights_path]
+    for argv in (["energy", *base], ["embed", *base, "--out-placement", tmp_path / "p.json"]):
+        code, out = run(capsys, argv)
+        assert code == 3
+        assert "not finite" in out.err
+
+
+def count_certificates(monkeypatch):
+    """Count verify_embedding calls from every module that imports it."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return verify_embedding(*args, **kwargs)
+
+    # the package's ``morph`` attribute is the function, so fetch the module
+    for module in (torustutte.cli, importlib.import_module("torustutte.morph"), torustutte.tutte):
+        monkeypatch.setattr(module, "verify_embedding", counted)
+    return calls
+
+
+def test_each_placement_certified_once(tmp_path, capsys, monkeypatch):
+    """embed certifies its placement once, morph each frame and endpoint once."""
+    mesh, placement = gen_grid(6)
+    paths = {name: tmp_path / f"{name}.json" for name in ("mesh", "weights", "a", "b", "p")}
+    dump_json(mesh_to_json(mesh), paths["mesh"])
+    dump_json(weights_to_json(mesh, uniform_weights(mesh)), paths["weights"])
+    dump_json(placement_to_json(perturb(mesh, placement, 0.05, seed=1)), paths["a"])
+    dump_json(placement_to_json(perturb(mesh, placement, 0.05, seed=2)), paths["b"])
+    calls = count_certificates(monkeypatch)
+    code, _ = run(capsys, [
+        "embed", "--mesh", paths["mesh"], "--weights", paths["weights"],
+        "--out-placement", paths["p"],
+    ])
+    assert (code, calls[0]) == (0, 1)
+    calls[0] = 0
+    code, _ = run(capsys, [
+        "morph", "--mesh", paths["mesh"], "--from", paths["a"], "--to", paths["b"],
+        "--steps", 5, "--out-dir", tmp_path / "frames",
+    ])
+    assert (code, calls[0]) == (0, 7)

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from torustutte import Placement, morph, perturb, verify_morph
+import torustutte.tutte
+from torustutte import (
+    Placement,
+    WeightAssignment,
+    mean_value_weights,
+    morph,
+    perturb,
+    retract,
+    tutte_map,
+    verify_morph,
+)
 from torustutte.errors import NotEmbeddedError
 
 
@@ -41,6 +51,27 @@ def test_morph_deterministic(grid4):
     b = morph(mesh, start, end, steps=5)
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.coords, fb.coords)
+
+
+def test_morph_frames_are_tutte_maps_of_the_retractions(grid4, monkeypatch):
+    """Each frame is the tutte_map of its retraction's final weights, bit for
+    bit, although morph itself never calls tutte_map."""
+    mesh, placement = grid4
+    start = perturb(mesh, placement, 0.075, seed=11)
+    end = perturb(mesh, placement, 0.075, seed=22)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("morph called tutte_map")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(torustutte.tutte, "tutte_map", forbidden)
+        frames = morph(mesh, start, end, steps=5)
+    w0 = mean_value_weights(mesh, start).values
+    w1 = mean_value_weights(mesh, end).values
+    for s, frame in enumerate(frames):
+        t = s / 4
+        trace = retract(mesh, WeightAssignment((1.0 - t) * w0 + t * w1))
+        assert np.array_equal(frame.coords, tutte_map(mesh, trace.final_weights).coords)
 
 
 def test_morph_rejects_few_steps(bumpy4):
