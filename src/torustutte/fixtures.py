@@ -1,10 +1,35 @@
-"""Generators for standard test meshes and seeded perturbations."""
+"""Generators for standard test meshes and seeded perturbations.
+
+A generated mesh is built on the universal cover: each face lists its
+vertex ids together with the integer lattice translate of each corner,
+and the shift of an edge is the change of translate along it.
+"""
 
 import numpy as np
 
 from .errors import NotEmbeddedError, PerturbFailedError
 from .geometry import Placement, verify_embedding
 from .mesh import build_mesh
+
+
+# The two counterclockwise triangles of the unit cell at the origin,
+# split along its (+1, +1) diagonal, as corner lattice points.
+_CELL_HALVES = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+
+
+def _cover_mesh(faces, lattice, coords):
+    """Mesh and placement from cover faces.
+
+    ``faces`` is (F, 3) vertex ids, ``lattice`` the (F, 3, 2) integer
+    translate of each corner and ``coords`` the (n, 2) positions in the
+    unit square. Only the wrapping edges are passed on, as in the file
+    format; the rest default to a zero shift.
+    """
+    shifts = (np.roll(lattice, -1, axis=1) - lattice).reshape(-1, 2)
+    wrap = shifts.any(axis=1)
+    src, dst = faces.ravel()[wrap].tolist(), np.roll(faces, -1, axis=1).ravel()[wrap].tolist()
+    mesh = build_mesh(faces, dict(zip(zip(src, dst), shifts[wrap].tolist())))
+    return mesh, Placement(coords)
 
 
 def gen_grid(m):
@@ -17,35 +42,10 @@ def gen_grid(m):
     """
     if m < 3:
         raise ValueError("grid size must be at least 3")
-    faces = []
-    shifts = {}
-
-    def vid(x, y):
-        return (x % m) + m * (y % m)
-
-    def offset(x, y):
-        # Lattice translate taking the wrapped representative to (x, y).
-        return np.array([x // m, y // m], dtype=np.int64)
-
-    for y in range(m):
-        for x in range(m):
-            corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
-            a, b, c, d = (vid(*p) for p in corners)
-            off_a, off_b, off_c, off_d = (offset(*p) for p in corners)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-            for (p, po), (q, qo) in (
-                ((a, off_a), (b, off_b)),
-                ((b, off_b), (c, off_c)),
-                ((c, off_c), (a, off_a)),
-                ((a, off_a), (c, off_c)),
-                ((c, off_c), (d, off_d)),
-                ((d, off_d), (a, off_a)),
-            ):
-                shifts.setdefault((p, q), tuple(qo - po))
-    mesh = build_mesh(faces, shifts)
-    coords = np.array([(x / m, y / m) for y in range(m) for x in range(m)])
-    return mesh, Placement(coords)
+    cells = np.stack(np.meshgrid(np.arange(m), np.arange(m)), axis=-1).reshape(-1, 2)
+    corners = (cells[:, None, None] + _CELL_HALVES).reshape(-1, 3, 2)
+    faces = corners[..., 0] % m + m * (corners[..., 1] % m)
+    return _cover_mesh(faces, corners // m, cells / m)
 
 
 def gen_k7():
@@ -56,25 +56,13 @@ def gen_k7():
     point (p, q). Faces are (i, i+1, i+3) and (i, i+3, i+2) mod 7.
     Returns (mesh, placement) with an embedded geodesic realization.
     """
-    period = np.array([[7, -2], [0, 1]], dtype=float)  # columns span the sublattice
-    to_torus = np.linalg.inv(period)
-    reps = {i: np.array([i, 0], dtype=float) for i in range(7)}
-    steps = {1: (1, 0), 2: (0, 1), 3: (1, 1), 6: (-1, 0), 5: (0, -1), 4: (-1, -1)}
-
-    faces = []
-    for i in range(7):
-        faces.append((i, (i + 1) % 7, (i + 3) % 7))
-        faces.append((i, (i + 3) % 7, (i + 2) % 7))
-    shifts = {}
-    for i in range(7):
-        for d, step in steps.items():
-            j = (i + d) % 7
-            lam = reps[i] + np.array(step, dtype=float) - reps[j]
-            b = to_torus @ lam
-            shifts[(i, j)] = (int(round(b[0])), int(round(b[1])))
-    mesh = build_mesh(faces, shifts)
-    coords = np.array([to_torus @ reps[i] for i in range(7)])
-    return mesh, Placement(coords)
+    # The cells at (i, 0) tile a fundamental domain. Vertex v sits at
+    # (v, 0), so corner (p, q) has sublattice translate ((p + 2q) // 7, q).
+    cells = np.column_stack([np.arange(7), np.zeros(7, dtype=int)])
+    corners = (cells[:, None, None] + _CELL_HALVES).reshape(-1, 3, 2)
+    label = corners[..., 0] + 2 * corners[..., 1]
+    lattice = np.stack([label // 7, corners[..., 1]], axis=-1)
+    return _cover_mesh(label % 7, lattice, cells * (1 / 7))
 
 
 def perturb(mesh, placement, magnitude, seed):

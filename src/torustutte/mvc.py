@@ -14,7 +14,7 @@ embeddings.
 import numpy as np
 
 from .errors import NotEmbeddedError
-from .geometry import AREA_TOL, edge_vectors, verify_embedding
+from .geometry import edge_vectors, verify_embedding
 from .tutte import WeightAssignment
 
 
@@ -42,8 +42,6 @@ def mean_value_weights(mesh, placement):
             f"placement is not an embedding (min area {report.min_area:.3e}, "
             f"total {report.total_area:.6f})"
         )
-    if report.min_area < AREA_TOL:
-        raise NotEmbeddedError("degenerate face")
 
     vecs = edge_vectors(mesh, placement).T
     src = mesh.directed_edges[:, 0]

@@ -55,8 +55,8 @@ def mesh_from_json(doc):
 def weights_to_json(mesh, weights):
     return {
         "weights": [
-            [int(i), int(j), float(w)]
-            for (i, j), w in zip(mesh.directed_edges, weights.values)
+            [i, j, w]
+            for (i, j), w in zip(mesh.directed_edges.tolist(), weights.values.tolist())
         ]
     }
 
@@ -72,7 +72,7 @@ def weights_from_json(mesh, doc):
 
 
 def placement_to_json(placement):
-    return {"coords": [[float(x), float(y)] for x, y in placement.coords]}
+    return {"coords": placement.coords.tolist()}
 
 
 def placement_from_json(doc):

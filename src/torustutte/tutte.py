@@ -70,8 +70,8 @@ class WeightAssignment:
 
     def to_dict(self, mesh):
         return {
-            (int(i), int(j)): float(w)
-            for (i, j), w in zip(mesh.directed_edges, self.values)
+            (i, j): w
+            for (i, j), w in zip(mesh.directed_edges.tolist(), self.values.tolist())
         }
 
 

@@ -13,7 +13,14 @@ from collections import deque
 import numpy as np
 import scipy.sparse.linalg
 
-from torustutte import WeightAssignment, assemble_system, edge_vectors, face_signed_areas
+from torustutte import (
+    Placement,
+    WeightAssignment,
+    assemble_system,
+    build_mesh,
+    edge_vectors,
+    face_signed_areas,
+)
 from torustutte.errors import (
     BadFaceError,
     BadOrientationError,
@@ -111,6 +118,64 @@ def random_diagonal_grid(m, rng):
 
 def grid_coords(m):
     return np.array([(x / m, y / m) for y in range(m) for x in range(m)])
+
+
+# ---------------------------------------------------------------------------
+# Reference fixture builders
+
+def oracle_gen_grid(m):
+    """``gen_grid(m)`` built cell by cell, one shift per directed edge."""
+    faces = []
+    shifts = {}
+
+    def vid(x, y):
+        return (x % m) + m * (y % m)
+
+    def offset(x, y):
+        # Lattice translate taking the wrapped representative to (x, y).
+        return np.array([x // m, y // m], dtype=np.int64)
+
+    for y in range(m):
+        for x in range(m):
+            corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+            a, b, c, d = (vid(*p) for p in corners)
+            off_a, off_b, off_c, off_d = (offset(*p) for p in corners)
+            faces.append((a, b, c))
+            faces.append((a, c, d))
+            for (p, po), (q, qo) in (
+                ((a, off_a), (b, off_b)),
+                ((b, off_b), (c, off_c)),
+                ((c, off_c), (a, off_a)),
+                ((a, off_a), (c, off_c)),
+                ((c, off_c), (d, off_d)),
+                ((d, off_d), (a, off_a)),
+            ):
+                shifts.setdefault((p, q), tuple(qo - po))
+    mesh = build_mesh(faces, shifts)
+    return mesh, Placement(grid_coords(m))
+
+
+def oracle_gen_k7():
+    """``gen_k7()`` with each edge's shift solved from the sublattice basis."""
+    period = np.array([[7, -2], [0, 1]], dtype=float)  # columns span the sublattice
+    to_torus = np.linalg.inv(period)
+    reps = {i: np.array([i, 0], dtype=float) for i in range(7)}
+    steps = {1: (1, 0), 2: (0, 1), 3: (1, 1), 6: (-1, 0), 5: (0, -1), 4: (-1, -1)}
+
+    faces = []
+    for i in range(7):
+        faces.append((i, (i + 1) % 7, (i + 3) % 7))
+        faces.append((i, (i + 3) % 7, (i + 2) % 7))
+    shifts = {}
+    for i in range(7):
+        for d, step in steps.items():
+            j = (i + d) % 7
+            lam = reps[i] + np.array(step, dtype=float) - reps[j]
+            b = to_torus @ lam
+            shifts[(i, j)] = (int(round(b[0])), int(round(b[1])))
+    mesh = build_mesh(faces, shifts)
+    coords = np.array([to_torus @ reps[i] for i in range(7)])
+    return mesh, Placement(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,32 @@ def test_nonfinite_solve_exit_code(tmp_path, capsys):
         assert "not finite" in out.err
 
 
+def test_singular_solve_exit_code(tmp_path, capsys):
+    """Subnormal weights make the reduced balance matrix singular: a numerical failure."""
+    mesh, _ = gen_grid(6)
+    mesh_path, weights_path = tmp_path / "mesh.json", tmp_path / "weights.json"
+    dump_json(mesh_to_json(mesh), mesh_path)
+    values = np.full(len(mesh.directed_edges), 5e-324)
+    dump_json(weights_to_json(mesh, WeightAssignment(values)), weights_path)
+    code, out = run(capsys, ["energy", "--mesh", mesh_path, "--weights", weights_path])
+    assert code == 3
+    assert "singular" in out.err
+
+
+def test_morph_retract_failure_exit_code(tmp_path, capsys):
+    mesh, placement = gen_grid(4)
+    paths = {name: tmp_path / f"{name}.json" for name in ("mesh", "a", "b")}
+    dump_json(mesh_to_json(mesh), paths["mesh"])
+    for name, seed in (("a", 1), ("b", 2)):
+        dump_json(placement_to_json(perturb(mesh, placement, 0.075, seed=seed)), paths[name])
+    code, out = run(capsys, [
+        "morph", "--mesh", paths["mesh"], "--from", paths["a"], "--to", paths["b"],
+        "--steps", 3, "--max-steps", 0, "--out-dir", tmp_path / "frames",
+    ])
+    assert code == 3
+    assert "retraction at t=0.5000 did not converge" in out.err
+
+
 def count_certificates(monkeypatch):
     """Count verify_embedding calls from every module that imports it."""
     calls = [0]

@@ -494,6 +494,26 @@ def test_tables_match_reference_builder(name, mesh):
         assert (edges[:, 0] == v).all()
 
 
+FIXTURE_TABLES = (
+    "faces", "directed_edges", "shifts", "reverse_index",
+    "face_edges", "rotation_offsets", "rotation_edges",
+)
+
+
+@pytest.mark.parametrize("m", [None, 3, 4, 7, 16], ids=["k7", "grid3", "grid4", "grid7", "grid16"])
+def test_fixtures_match_cell_by_cell_builders(m):
+    if m is None:
+        (mesh, placement), (expected, expected_placement) = gen_k7(), helpers.oracle_gen_k7()
+    else:
+        (mesh, placement), (expected, expected_placement) = gen_grid(m), helpers.oracle_gen_grid(m)
+    for table in FIXTURE_TABLES:
+        got, want = getattr(mesh, table), getattr(expected, table)
+        assert got.dtype == want.dtype, table
+        assert np.array_equal(got, want), table
+    assert placement.coords.dtype == expected_placement.coords.dtype
+    assert placement.coords.tobytes() == expected_placement.coords.tobytes()
+
+
 def corrupted_inputs():
     mesh, _ = gen_grid(3)
     faces = [tuple(int(v) for v in f) for f in mesh.faces]

@@ -12,7 +12,7 @@ from torustutte import (
     tutte_map,
     verify_morph,
 )
-from torustutte.errors import NotEmbeddedError
+from torustutte.errors import NotEmbeddedError, RetractFailedError
 
 
 def test_morph_between_perturbations(grid4):
@@ -93,6 +93,15 @@ def test_morph_rejects_folded_endpoint(grid3):
     coords[4] = [-0.1, -0.1]
     with pytest.raises(NotEmbeddedError):
         morph(mesh, placement, Placement(coords), steps=3)
+
+
+def test_morph_raises_when_a_frame_does_not_converge(grid4):
+    """The endpoints' mean value weights need no step; the midpoint does."""
+    mesh, placement = grid4
+    start = perturb(mesh, placement, 0.075, seed=1)
+    end = perturb(mesh, placement, 0.075, seed=2)
+    with pytest.raises(RetractFailedError, match=r"retraction at t=0\.5000 did not converge"):
+        morph(mesh, start, end, 3, max_steps=0)
 
 
 def test_verify_morph_flags_folded_frame(grid3, bumpy3):

@@ -23,7 +23,7 @@ from torustutte import (
     verify_embedding,
     weights_from_dict,
 )
-from torustutte.errors import NonPositiveWeightError, NotAdmissibleError
+from torustutte.errors import NonPositiveWeightError, NotAdmissibleError, SingularSystemError
 
 
 def single_asymmetry(mesh, edge=(0, 1), value=5.0):
@@ -280,6 +280,13 @@ def test_residual_rank_one_beyond_small_grids(name, rng):
 
 # ---------------------------------------------------------------------------
 # Map to placements
+
+def test_subnormal_weights_make_a_singular_system(grid6):
+    """Weights of 5e-324 pass validation, but the reduced balance matrix is exactly singular."""
+    mesh, _ = grid6
+    with pytest.raises(SingularSystemError, match="singular"):
+        balance_energy(mesh, WeightAssignment(np.full(len(mesh.directed_edges), 5e-324)))
+
 
 def test_tutte_map_uniform(grid3):
     mesh, placement = grid3
