@@ -44,11 +44,11 @@ def mean_value_weights(mesh, placement):
         )
 
     vecs = edge_vectors(mesh, placement).T
-    src = mesh.directed_edges[:, 0]
-    opposite = mesh.opposite_vertex
-    # Edges from i to the third vertices of the faces on either side of {i, j}.
-    left = vecs[:, mesh.edge_ids(src, opposite)]
-    right = vecs[:, mesh.edge_ids(src, opposite[mesh.reverse_index])]
+    # Edges from i to the third vertices of faces (i, j, k) and (j, i, k'):
+    # the reverse of k->i before i->j, and i->k' after j->i.
+    c, t = mesh._corner, mesh._corner[mesh.reverse_index]
+    left = vecs[:, mesh.reverse_index[mesh.face_edges[c // 3, (c + 2) % 3]]]
+    right = vecs[:, mesh.face_edges[t // 3, (t + 1) % 3]]
     values = (_tan_half_angle(vecs, left) + _tan_half_angle(vecs, right)) / np.hypot(*vecs)
     return WeightAssignment(values)
 

@@ -1,21 +1,25 @@
 """SVG rendering of placements on the fundamental square [0,1]^2.
 
-Every edge is drawn from its lift under all nine unit translates and
+Every edge is drawn from its lift under the nine unit translates and
 clipped to the square, so edges crossing the seam show up on both
-sides. Clipping is vectorized: one Liang-Barsky pass over all edges per
-translate, with the pieces put back in (edge, translate) order, so the
-output is the same as clipping edge by edge. Faces with negative signed
-area are filled as a warning layer under the edges.
+sides. Edges go in blocks of 4096: per block, one vectorized
+Liang-Barsky pass clips the (edge, translate) rows whose translate can
+reach the square, in (edge, translate) order, so the output is that of
+clipping all nine edge by edge, and one ``%`` writes the block's edge
+groups. Faces with negative signed area are filled as a warning layer
+under the edges.
 """
-
-from itertools import islice
 
 import numpy as np
 
 from .geometry import _signed_areas, edge_vectors
 
 _OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+_SHIFTS = np.array(_OFFSETS, dtype=float)
 _LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="#27496d" stroke-width="1.4"/>'
+# The template of an edge drawn in n pieces, n = 0 to 9
+_GROUPS = ['<g class="edge" data-edge="%d-%d">' + _LINE * n + "</g>" for n in range(10)]
+_BLOCK = 4096
 
 
 def _clip_segments(p, q):
@@ -102,27 +106,30 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
                         f'points="{pts}" fill="#e4572e" fill-opacity="0.45" stroke="none"/>'
                     )
 
-    src, dst = mesh.directed_edges.T
-    drawn = np.flatnonzero(src <= dst)
-    a = pos[src[drawn]]
-    b = a + vecs[drawn]
-    pieces, owners = [], []
-    # One translate at a time: a 9E-row tile would hold nine copies of every array.
-    for k, offset in enumerate(_OFFSETS):
-        p, q, keep = _clip_segments(a + offset, b + offset)
+    # Edges go in blocks, which keep the clip arrays and the boxed
+    # arguments of each % small.
+    drawn = np.flatnonzero(mesh.directed_edges[:, 0] <= mesh.directed_edges[:, 1])
+    for start in range(0, len(drawn), _BLOCK):
+        edges = drawn[start : start + _BLOCK]
+        a = pos[mesh.directed_edges[edges, 0]]
+        b = a + vecs[edges]
+        # Clip only the translates whose shifted closed x and y ranges meet
+        # [0, 1]. lo + o and hi + o round as the clip's a + offset does, so
+        # each row left out is one the clip rejects; rows stay in (edge,
+        # translate) order.
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        meets = np.stack([(lo + o <= 1.0) & (hi + o >= 0.0) for o in (-1.0, 0.0, 1.0)], axis=1)
+        reach = meets[:, :, None, 0] & meets[:, None, :, 1]
+        row, k = np.divmod(np.flatnonzero(reach), len(_OFFSETS))
+        p, q, keep = _clip_segments(a[row] + _SHIFTS[k], b[row] + _SHIFTS[k])
         ends = np.hstack([p[keep], q[keep]])
         # Pixel x is x * size and pixel y is (1 - y) * size.
-        pieces.append(np.where([True, False, True, False], ends, 1.0 - ends) * size)
-        owners.append(np.flatnonzero(keep) * len(_OFFSETS) + k)
-    owners = np.concatenate(owners)
-    order = np.argsort(owners, kind="stable")
-    counts = np.bincount(owners[order] // len(_OFFSETS), minlength=len(drawn))
-    px = np.concatenate(pieces)[order]
-    lines = map(_LINE.__mod__, zip(*px.T.tolist()))
-    parts.extend(
-        f'<g class="edge" data-edge="{i}-{j}">{"".join(islice(lines, n))}</g>'
-        for i, j, n in zip(src[drawn].tolist(), dst[drawn].tolist(), counts.tolist())
-    )
+        px = np.where([True, False, True, False], ends, 1.0 - ends) * size
+        n = np.bincount(row[keep], minlength=len(edges))
+        # Each edge's ids as ints, then the pixel floats of its pieces.
+        ids = mesh.directed_edges[edges].ravel()
+        args = np.insert(px.ravel().astype(object), np.repeat(4 * (np.cumsum(n) - n), 2), ids)
+        parts.append("\n".join(map(_GROUPS.__getitem__, n.tolist())) % tuple(args))
 
     if labels:
         for v, p in enumerate(pos):

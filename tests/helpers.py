@@ -523,6 +523,23 @@ def oracle_mean_value_per_edge(mesh, placement):
     return out
 
 
+def oracle_mean_value_edge_ids(mesh, placement):
+    """mean_value_weights with the neighbouring edges (i, k) looked up by
+    ``edge_ids`` from the opposite vertices instead of read off the corners."""
+    vecs = edge_vectors(mesh, placement).T
+    src = mesh.directed_edges[:, 0]
+    opposite = mesh.opposite_vertex
+    left = vecs[:, mesh.edge_ids(src, opposite)]
+    right = vecs[:, mesh.edge_ids(src, opposite[mesh.reverse_index])]
+
+    def tan_half(u, v):
+        cross = abs(u[0] * v[1] - u[1] * v[0])
+        dot = u[0] * v[0] + u[1] * v[1]
+        return (np.hypot(*u) * np.hypot(*v) - dot) / cross
+
+    return (tan_half(vecs, left) + tan_half(vecs, right)) / np.hypot(*vecs)
+
+
 # ---------------------------------------------------------------------------
 # Index oracle
 

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from torustutte import (
@@ -10,7 +13,7 @@ from torustutte import (
     mean_value_weights,
     retract,
 )
-from torustutte.errors import ShiftConflictError
+from torustutte.errors import NonPositiveWeightError, ShiftConflictError
 from torustutte.serialize import (
     dump_json,
     load_json,
@@ -34,6 +37,53 @@ def test_dump_json_canonical(tmp_path):
     assert load_json(path) == doc
     with pytest.raises(ValueError):
         dump_json({"x": float("nan")})
+
+
+NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 2**40, -(2**63), 1e300, -1e300, 1e-300, 5e-324]),
+    st.booleans(),
+    st.none(),
+)
+KEYS = st.text(max_size=4) | st.sampled_from(["", ", ", "]", "[", "], [", "|", '"'])
+LEAVES = (
+    NUMBERS
+    | KEYS
+    | st.lists(NUMBERS, min_size=1, max_size=5)
+    | st.lists(st.lists(NUMBERS, min_size=1, max_size=4), min_size=1, max_size=4)
+)
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300)
+@given(DOCUMENTS)
+@example([[1], [2], 3])
+@example([[[1]]])
+@example([[1, [2]], [3]])
+@example([[[1]], 3])
+@example([[1, 2], []])
+@example({"coords": [[0.0, -0.0], [1e300, 2**40]], "faces": [[0, 1, 2]], "shifts": []})
+@example([[1, "a, b"], ["]", 2]])
+def test_dump_json_matches_json_dumps(doc):
+    """Canonical text is json.dumps's text whatever the nesting."""
+    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert dump_json(doc) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [1.0, x], lambda x: {"a": [[0, 1, x]]}])
+def test_dump_json_rejects_nonfinite_as_json_does(bad, wrap):
+    doc = wrap(bad)
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match="not JSON compliant") as got:
+        dump_json(doc)
+    assert str(got.value) == str(expected.value)
 
 
 def test_mesh_round_trip(grid3, grid4, k7):
@@ -88,6 +138,58 @@ def test_weights_duplicate_rejected(grid3):
     doc["weights"].append(doc["weights"][0][:])
     with pytest.raises(ValueError, match="duplicate"):
         weights_from_json(mesh, doc)
+
+
+def test_weights_read_as_table_match_row_reading(grid4, rng):
+    """Shuffled rows, integer weights and float ids give the row-by-row values."""
+    mesh, _ = grid4
+    values = helpers.random_directed_weights(mesh, rng, 0.1, 10.0)
+    rows = json.loads(dump_json(weights_to_json(mesh, WeightAssignment(values))))["weights"]
+    shuffled = [rows[k] for k in rng.permutation(len(rows))]
+    assert np.array_equal(weights_from_json(mesh, {"weights": shuffled}).values, values)
+    whole = [[i, j, 3] for i, j, _ in rows]
+    assert np.array_equal(weights_from_json(mesh, {"weights": whole}).values, np.full(96, 3.0))
+    # int() truncates a fractional id, and so does the table reading
+    nudged = [[i + 0.5, j + 0.25, w] for i, j, w in rows]
+    assert np.array_equal(weights_from_json(mesh, {"weights": nudged}).values, values)
+
+
+def weights_rows(mesh):
+    return json.loads(dump_json(weights_to_json(mesh, WeightAssignment(np.ones(54)))))["weights"]
+
+
+# rows of uniform weights on gen_grid(3); row 4 is the edge (0, 6)
+BAD_WEIGHT_ROWS = {
+    "duplicate": (lambda r: r + [r[4]], ValueError, r"duplicate weight entry for edge \(0, 6\)$"),
+    "duplicate in place": (
+        lambda r: r[:10] + [r[4]] + r[11:], ValueError, r"duplicate weight entry for edge \(0, 6\)$"
+    ),
+    "missing": (lambda r: r[:4] + r[5:], ValueError, r"missing weight for directed edge \(0, 6\)$"),
+    "non-edge": (lambda r: r + [[8, 3, 1.0]], ValueError, r"weight given for non-edge \(8, 3\)$"),
+    "huge id": (
+        lambda r: r + [[2**70, 0, 1.0]],
+        ValueError,
+        r"weight given for non-edge \(1180591620717411303424, 0\)$",
+    ),
+    "negative id": (lambda r: r + [[-1, 3, 1.0]], ValueError, r"non-edge \(-1, 3\)$"),
+    "short row": (lambda r: r[:-1] + [r[-1][:2]], ValueError, "not enough values to unpack"),
+    "string id": (lambda r: [["a", 1, 1.0]] + r[1:], ValueError, "invalid literal for int"),
+    "null weight": (lambda r: [r[0][:2] + [None]] + r[1:], TypeError, "NoneType"),
+    "null id": (lambda r: [[None] + r[0][1:]] + r[1:], TypeError, "NoneType"),
+    "nan id": (lambda r: [[math.nan] + r[0][1:]] + r[1:], ValueError, "NaN"),
+    "zero weight": (lambda r: [r[0][:2] + [0.0]] + r[1:], NonPositiveWeightError, "positive"),
+    "number": (lambda r: 5, TypeError, "not iterable"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WEIGHT_ROWS))
+def test_weights_from_json_names_the_bad_row(grid3, case):
+    mesh, _ = grid3
+    make, error, message = BAD_WEIGHT_ROWS[case]
+    rows = weights_rows(mesh)
+    assert rows[4][:2] == [0, 6]
+    with pytest.raises(error, match=message):
+        weights_from_json(mesh, {"weights": make(rows)})
 
 
 def test_placement_round_trip_exact(bumpy4):

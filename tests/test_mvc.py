@@ -112,3 +112,17 @@ def test_batched_weights_match_per_edge_formula(m, diagonal):
     got = mean_value_weights(mesh, placement).values
     expected = helpers.oracle_mean_value_per_edge(mesh, placement)
     assert np.abs(got - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("m, diagonal", [(3, False), (4, True), (7, False), (12, True)])
+def test_corner_neighbours_match_edge_id_lookup(m, diagonal, k7):
+    """Neighbour edges read off the corners give the edge_ids lookup's weights bit for bit."""
+    rng = np.random.default_rng(m)
+    if diagonal:
+        mesh = build_mesh(*helpers.random_diagonal_grid(m, rng))
+    else:
+        mesh, _ = gen_grid(m)
+    coords = helpers.grid_coords(m) + rng.uniform(-0.1, 0.1, (m * m, 2)) / m
+    for case_mesh, placement in ((mesh, Placement(coords)), k7):
+        got = mean_value_weights(case_mesh, placement).values
+        assert np.array_equal(got, helpers.oracle_mean_value_edge_ids(case_mesh, placement))

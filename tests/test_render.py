@@ -15,6 +15,7 @@ from torustutte import (
     perturb,
     render_svg,
 )
+from torustutte import render
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -144,9 +145,28 @@ def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
     # piece shorter than 1e-12 in the central square, which is dropped
     grazing = seam.coords.copy()
     grazing[3] = [-5e-13, 1 / 3]
+    # lifted edge 3 -> 4 is longer than 1, so its lift leaves the
+    # neighbouring squares on the right
+    long_edge = seam.coords.copy()
+    long_edge[4] = [1.3, 1 / 3]
+    # vertex 5 exactly on y = 1; vertex 4 at -1e-20 wraps to exactly (1, 1)
+    on_seam = seam.coords.copy()
+    on_seam[5] = [2 / 3, 1.0]
+    on_seam[4] = [-1e-20, -1e-20]
+    # the column x = 1e-20 is vertical; under the +1 translate x rounds to
+    # exactly 1, so it leaves pieces on the right seam although min x > 0
+    rounded = seam.coords.copy()
+    rounded[[0, 3, 6], 0] = 1e-20
+    big, start = gen_grid(32)
     cases = [
         # vertices on the seam lines: den == 0 with num == 0, single-point pieces
         (grid3, {}),
+        ((mesh3, Placement(long_edge)), {}),
+        ((mesh3, Placement(on_seam)), {}),
+        ((mesh3, Placement(rounded)), {}),
+        ((mesh3, Placement(rounded)), {"size": 1}),
+        (bumpy4, {"size": 1}),
+        ((big, perturb(big, start, 0.2, seed=5)), {}),
         ((mesh3, Placement(seam.coords + [0.11, 0.17])), {}),
         ((mesh3, Placement(grazing)), {}),
         (bumpy3, {}),
@@ -162,8 +182,15 @@ def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
         assert render_svg(mesh, placement, **kwargs) == expected, kwargs
 
 
+def test_blocks_of_edge_groups_join_seamlessly(bumpy4, monkeypatch):
+    """Formatting a few edge groups per % writes the scalar renderer's bytes."""
+    mesh, placement = bumpy4
+    monkeypatch.setattr(render, "_BLOCK", 5)
+    assert render_svg(mesh, placement) == helpers.oracle_render_svg(mesh, placement)
+
+
 def test_render_memory_stays_near_output_size():
-    """Clipping one translate at a time keeps the peak within a few output sizes."""
+    """Clipping and formatting in blocks of edges keeps the peak within a few output sizes."""
     mesh, placement = gen_grid(64)
     placement = perturb(mesh, placement, 0.1, seed=3)
     render_svg(mesh, placement)
