@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialize
+from . import serialize, tutte
 from .errors import (
     AdmissibleInputError,
     DegenerateFaceError,
@@ -31,7 +31,6 @@ from .morph import max_displacement, morph
 from .mvc import check_balanced, mean_value_weights
 from .oneform import direction_form, generic_direction_form, index_theorem_check
 from .render import render_svg
-from .tutte import ADMISSIBLE_TOL, _certified_map, residual_structure
 
 VALIDATION_ERRORS = (
     MeshError,
@@ -88,7 +87,7 @@ def cmd_validate(args):
 
 def cmd_gen(args):
     mesh, placement = gen_grid(args.size)
-    if args.perturb > 0:
+    if args.perturb != 0:
         placement = perturb(mesh, placement, args.perturb, args.seed)
     serialize.dump_json(serialize.mesh_to_json(mesh), args.out_mesh)
     out = {"vertex_count": mesh.vertex_count, "mesh": args.out_mesh}
@@ -102,7 +101,7 @@ def cmd_gen(args):
 def cmd_embed(args):
     mesh = _load(args.mesh, serialize.mesh_from_json)
     weights = _load(args.weights, serialize.weights_from_json, mesh)
-    placement, report = _certified_map(mesh, weights, args.tol)
+    placement, report = tutte._certified_map(mesh, weights)
     serialize.dump_json(serialize.placement_to_json(placement), args.out_placement)
     out = {
         "placement": args.out_placement,
@@ -134,19 +133,16 @@ def cmd_mvc(args):
 def cmd_energy(args):
     mesh = _load(args.mesh, serialize.mesh_from_json)
     weights = _load(args.weights, serialize.weights_from_json, mesh)
-    report = residual_structure(mesh, weights, args.tol)
-    sys.stdout.write(
-        serialize.dump_json(
-            {"energy": report.energy, "admissible": report.zero_residual, "tol": args.tol}
-        )
-    )
+    report = tutte.residual_structure(mesh, weights)
+    out = {"energy": report.energy, "admissible": report.zero_residual, "tol": tutte.ADMISSIBLE_TOL}
+    sys.stdout.write(serialize.dump_json(out))
     return 0
 
 
 def cmd_retract(args):
     mesh = _load(args.mesh, serialize.mesh_from_json)
     weights = _load(args.weights, serialize.weights_from_json, mesh)
-    trace = retract(mesh, weights, tol=args.tol, max_steps=args.max_steps)
+    trace = retract(mesh, weights, max_steps=args.max_steps)
     if args.trace:
         serialize.trace_to_jsonl(trace, args.trace)
     if args.out_weights:
@@ -169,7 +165,7 @@ def cmd_morph(args):
     mesh = _load(args.mesh, serialize.mesh_from_json)
     start = _load(args.from_path, serialize.placement_from_json)
     end = _load(args.to_path, serialize.placement_from_json)
-    frames = morph(mesh, start, end, args.steps, tol=args.tol, max_steps=args.max_steps)
+    frames = morph(mesh, start, end, args.steps, max_steps=args.max_steps)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, frame in enumerate(frames):
@@ -234,8 +230,6 @@ def cmd_render(args):
 
 def main(argv=None):
     # each flag goes only on the commands that read it
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=ADMISSIBLE_TOL, help="admissibility tolerance")
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument("--quiet", action="store_true", help="suppress summary output")
 
@@ -258,9 +252,7 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0, help="seed of the perturbation")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser(
-        "embed", parents=[tol, quiet], help="balanced placement of admissible weights"
-    )
+    p = sub.add_parser("embed", parents=[quiet], help="balanced placement of admissible weights")
     p.add_argument("--mesh", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--out-placement", required=True)
@@ -273,12 +265,12 @@ def main(argv=None):
     p.add_argument("--out-weights", required=True)
     p.set_defaults(func=cmd_mvc)
 
-    p = sub.add_parser("energy", parents=[tol], help="balance energy of weights")
+    p = sub.add_parser("energy", help="balance energy of weights")
     p.add_argument("--mesh", required=True)
     p.add_argument("--weights", required=True)
     p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser("retract", parents=[tol, quiet], help="flow weights to admissibility")
+    p = sub.add_parser("retract", parents=[quiet], help="flow weights to admissibility")
     p.add_argument("--mesh", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--max-steps", type=int, default=200_000)
@@ -286,7 +278,7 @@ def main(argv=None):
     p.add_argument("--out-weights")
     p.set_defaults(func=cmd_retract)
 
-    p = sub.add_parser("morph", parents=[tol, quiet], help="morph between two embeddings")
+    p = sub.add_parser("morph", parents=[quiet], help="morph between two embeddings")
     p.add_argument("--mesh", required=True)
     p.add_argument("--from", dest="from_path", required=True)
     p.add_argument("--to", dest="to_path", required=True)

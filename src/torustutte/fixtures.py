@@ -72,8 +72,11 @@ def perturb(mesh, placement, magnitude, seed):
     result is not an embedding the magnitude halves, reusing the same
     field; after 20 halvings PerturbFailedError is raised. Requires an
     embedded input, which guarantees termination for small enough
-    magnitudes.
+    magnitudes; a magnitude that is negative or not finite is a
+    ValueError.
     """
+    if not 0.0 <= magnitude < np.inf:
+        raise ValueError(f"perturb magnitude must be finite and non-negative, got {magnitude}")
     if not verify_embedding(mesh, placement).is_embedding:
         raise NotEmbeddedError("perturb requires an embedded placement")
     rng = np.random.default_rng(seed)

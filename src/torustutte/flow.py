@@ -44,9 +44,7 @@ import numpy as np
 from .errors import AdmissibleInputError, NonFiniteStateError
 from .mesh import generator_loops
 from .tutte import (
-    ADMISSIBLE_TOL,
     WeightAssignment,
-    _check_tol,
     _factor,
     _finish,
     _pattern,
@@ -134,17 +132,15 @@ def _gate_scale(mesh, values):
     return loop_gap(mesh) / (2.0 * mesh.edge_count + float((1.0 / values).sum()))
 
 
-def flow_constants(mesh, weights, energy=None):
+def flow_constants(mesh, weights):
     """Derived constants of the flow at the given weights.
 
-    ``energy`` defaults to the balance energy of the weights; pass it
-    when already computed to avoid one solve. The decay rate is formed
-    through its logarithm; when it underflows it is 0.0 and the time
-    bound is infinite.
+    The time bound reads the balance energy of the weights. The decay
+    rate is formed through its logarithm; when it underflows it is 0.0
+    and the time bound is infinite.
     """
     values = _validated_values(mesh, weights)
-    if energy is None:
-        energy = balance_energy(mesh, weights)
+    energy = balance_energy(mesh, weights)
     gap = loop_gap(mesh)
     n = mesh.vertex_count
     lo = float(values.min())
@@ -169,11 +165,11 @@ def _velocity(mesh, values, u):
     ) * asymmetry_gate(values - values[rev])
 
 
-def flow_velocity(mesh, weights, tol=ADMISSIBLE_TOL):
-    """dw/dt at the given weights; raises AdmissibleInputError at energy <= tol."""
+def flow_velocity(mesh, weights):
+    """dw/dt at the given weights; raises AdmissibleInputError on admissible ones."""
     values = _validated_values(mesh, weights)
-    report = _solve(mesh, weights, tol)[1]
-    if report.energy <= tol:
+    report = _solve(mesh, weights)[1]
+    if report.zero_residual:
         raise AdmissibleInputError(
             f"flow velocity undefined: energy {report.energy:.3e} is within tolerance"
         )
@@ -187,7 +183,7 @@ def _energy_slope(mesh, report, velocity):
     return 2.0 * math.sqrt(report.energy) * float(flux) / float(np.linalg.norm(pi))
 
 
-def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
+def retract(mesh, weights, max_steps=200_000):
     """Integrate the flow until the weights become admissible.
 
     Explicit Euler with acceptance control: a trial step is accepted
@@ -202,12 +198,11 @@ def retract(mesh, weights, tol=ADMISSIBLE_TOL, max_steps=200_000):
     ``already_admissible``, or ``budget_exceeded`` (best weights found
     are still returned).
     """
-    return _retract(mesh, weights, tol, max_steps)[0]
+    return _retract(mesh, weights, max_steps)[0]
 
 
-def _retract(mesh, weights, tol, max_steps):
+def _retract(mesh, weights, max_steps):
     """``retract``, plus the balanced coordinates of the last sample."""
-    _check_tol(tol)
     values = _validated_values(mesh, weights).copy()
     rev = mesh.reverse_index
     # one CSC pattern serves every trial of this run
@@ -215,7 +210,7 @@ def _retract(mesh, weights, tol, max_steps):
     factored = _factor(mesh, values, pattern)
     if not factored.energy < math.inf:
         raise NonFiniteStateError(f"balance energy of the initial weights is {factored.energy}")
-    coords, report = _finish(mesh, factored, tol)
+    coords, report = _finish(mesh, factored)
     samples = [
         FlowSample(0.0, values, report.energy, float(values.min()), _asym_bound(values, rev))
     ]
@@ -246,7 +241,7 @@ def _retract(mesh, weights, tol, max_steps):
             break
         drop, predicted = report.energy - factored.energy, -dt * slope
         values = trial
-        coords, report = _finish(mesh, factored, tol)
+        coords, report = _finish(mesh, factored)
         samples.append(FlowSample(
             samples[-1].t + dt, values, report.energy, float(values.min()), _asym_bound(values, rev)
         ))

@@ -17,7 +17,7 @@ from .errors import NotEmbeddedError, RetractFailedError
 from .flow import BUDGET_EXCEEDED, _retract
 from .geometry import Placement, verify_embedding
 from .mvc import mean_value_weights
-from .tutte import ADMISSIBLE_TOL, WeightAssignment, _certify
+from .tutte import WeightAssignment, _certify
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class MorphReport:
     passed: bool
 
 
-def morph(mesh, start, end, steps, tol=ADMISSIBLE_TOL, max_steps=200_000):
+def morph(mesh, start, end, steps, max_steps=200_000):
     """Embedded frames from ``start`` to ``end``, inclusive.
 
     Both placements must be anchored embeddings of the same mesh;
@@ -47,7 +47,7 @@ def morph(mesh, start, end, steps, tol=ADMISSIBLE_TOL, max_steps=200_000):
     frames = []
     for s in range(steps):
         t = s / (steps - 1)
-        trace, coords = _retract(mesh, WeightAssignment((1.0 - t) * w0 + t * w1), tol, max_steps)
+        trace, coords = _retract(mesh, WeightAssignment((1.0 - t) * w0 + t * w1), max_steps)
         if trace.status == BUDGET_EXCEEDED:
             raise RetractFailedError(f"retraction at t={t:.4f} did not converge")
         frame = Placement(coords)

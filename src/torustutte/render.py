@@ -132,7 +132,8 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
         parts.append("\n".join(map(_GROUPS.__getitem__, n.tolist())) % tuple(args))
 
     if labels:
-        for v, p in enumerate(pos):
+        # np.mod gives exactly 1.0 for tiny negative coordinates; that is 0.0
+        for v, p in enumerate(np.where(pos < 1.0, pos, 0.0)):
             parts.append(
                 f'<text x="{p[0] * size + 4:.1f}" y="{(1.0 - p[1]) * size - 4:.1f}" '
                 f'font-size="{max(10, size // 60)}" fill="#b33">{v}</text>'

@@ -39,6 +39,9 @@ the residual report, with the edge projections the flow needs.
 retraction flow keeps one pattern per run and finishes only the trial
 steps it accepts, since a rejected trial needs nothing past its energy.
 A solve that is not finite raises NonFiniteStateError once finished.
+
+Only ``_finish`` compares the energy with ``ADMISSIBLE_TOL``, read when
+it runs; every admissibility verdict is the report's ``zero_residual``.
 """
 
 import math
@@ -86,10 +89,8 @@ def _validated_values(mesh, weights):
     return values
 
 
-def uniform_weights(mesh, value=1.0):
-    if value <= 0:
-        raise NonPositiveWeightError("weights must be positive")
-    return WeightAssignment(np.full(len(mesh.directed_edges), float(value)))
+def uniform_weights(mesh):
+    return WeightAssignment(np.ones(len(mesh.directed_edges)))
 
 
 def weights_from_dict(mesh, mapping):
@@ -115,7 +116,7 @@ class ResidualReport:
     d = pi^T b; the rank-one residual rows -pi d^T / |pi|^2 and the
     shared direction -d / |d| are derived from them on access.
     ``direction`` and ``projections`` are present exactly when the
-    energy exceeds the tolerance; otherwise ``zero_residual`` is set.
+    energy exceeds ``ADMISSIBLE_TOL``; otherwise ``zero_residual`` is set.
     ``projections`` holds u_ij, the component of each lifted edge
     vector along the direction, and ``max_weight_ratio`` is the
     largest w_ij / w_ji, which bounds how unevenly the residual mass
@@ -207,11 +208,6 @@ class _Factored:
     energy: float
 
 
-def _check_tol(tol):
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-
-
 def _factor(mesh, values, pattern):
     """One sparse LU of A[1:, 1:]^T, then pi, the drift and the energy.
 
@@ -239,13 +235,13 @@ def _factor(mesh, values, pattern):
     return _Factored(values, lu, rhs, pi, drift, energy)
 
 
-def _finish(mesh, factored, tol):
+def _finish(mesh, factored):
     """Second phase of a solve: coordinates and the residual report.
 
     A transposed solve of the consistent system A x = b + r gives the
     coordinates; the edge projections follow when the energy exceeds
-    ``tol``. Raises NonFiniteStateError when pi, the energy or the
-    coordinates are not finite. Returns (coords, ResidualReport).
+    ``ADMISSIBLE_TOL``. Raises NonFiniteStateError when pi, the energy
+    or the coordinates are not finite. Returns (coords, ResidualReport).
     """
     pi, drift, energy, values = factored.pi, factored.drift, factored.energy, factored.values
     residual = np.outer(pi[1:], -drift / float(pi @ pi))
@@ -255,8 +251,9 @@ def _finish(mesh, factored, tol):
         raise NonFiniteStateError(
             f"balance solve is not finite (energy {energy}): the weights overflow float range"
         )
+    zero_residual = energy <= ADMISSIBLE_TOL
     projections = None
-    if energy > tol:
+    if not zero_residual:
         direction = -drift / float(np.linalg.norm(drift))
         projections = direction_form(mesh, Placement(coords), direction).values
     report = ResidualReport(
@@ -265,40 +262,39 @@ def _finish(mesh, factored, tol):
         energy=energy,
         projections=projections,
         max_weight_ratio=float((values / values[mesh.reverse_index]).max()),
-        zero_residual=energy <= tol,
+        zero_residual=zero_residual,
     )
     return coords, report
 
 
-def _solve(mesh, weights, tol):
+def _solve(mesh, weights):
     """Pinned least squares: ``_factor`` then ``_finish``, from one LU.
 
     Returns (coords, ResidualReport); raises NonFiniteStateError when
     the solve is not finite.
     """
-    _check_tol(tol)
     values = _validated_values(mesh, weights)
-    return _finish(mesh, _factor(mesh, values, _pattern(mesh, 1)), tol)
+    return _finish(mesh, _factor(mesh, values, _pattern(mesh, 1)))
 
 
-def solve_balance(mesh, weights, tol=ADMISSIBLE_TOL):
+def solve_balance(mesh, weights):
     """Solve the balance system; returns (placement, residual report)."""
-    coords, report = _solve(mesh, weights, tol)
+    coords, report = _solve(mesh, weights)
     return Placement(coords), report
 
 
 def balance_energy(mesh, weights):
     """Minimum of ||A x - b||_F^2 over placements with vertex 0 pinned."""
-    return _solve(mesh, weights, ADMISSIBLE_TOL)[1].energy
+    return _solve(mesh, weights)[1].energy
 
 
-def is_admissible(mesh, weights, tol=ADMISSIBLE_TOL):
-    return _solve(mesh, weights, tol)[1].zero_residual
+def is_admissible(mesh, weights):
+    return _solve(mesh, weights)[1].zero_residual
 
 
-def residual_structure(mesh, weights, tol=ADMISSIBLE_TOL):
+def residual_structure(mesh, weights):
     """Residual report at the least-squares solution for these weights."""
-    return _solve(mesh, weights, tol)[1]
+    return _solve(mesh, weights)[1]
 
 
 def _certify(mesh, placement):
@@ -313,21 +309,21 @@ def _certify(mesh, placement):
     return certificate
 
 
-def _certified_map(mesh, weights, tol=ADMISSIBLE_TOL):
+def _certified_map(mesh, weights):
     """``tutte_map`` that also returns the certificate it computed."""
-    placement, report = solve_balance(mesh, weights, tol)
-    if report.energy > tol:
+    placement, report = solve_balance(mesh, weights)
+    if not report.zero_residual:
         raise NotAdmissibleError(
-            f"balance energy {report.energy:.3e} exceeds tolerance {tol:.3e}"
+            f"balance energy {report.energy:.3e} exceeds tolerance {ADMISSIBLE_TOL:.3e}"
         )
     return placement, _certify(mesh, placement)
 
 
-def tutte_map(mesh, weights, tol=ADMISSIBLE_TOL):
+def tutte_map(mesh, weights):
     """Balanced placement of admissible weights, certified as an embedding.
 
-    Raises NotAdmissibleError when the balance energy exceeds ``tol``
-    and EmbeddingCheckFailedError when the certificate is violated,
-    which no admissible input should trigger.
+    Raises NotAdmissibleError when the balance energy exceeds
+    ``ADMISSIBLE_TOL`` and EmbeddingCheckFailedError when the
+    certificate is violated, which no admissible input should trigger.
     """
-    return _certified_map(mesh, weights, tol)[0]
+    return _certified_map(mesh, weights)[0]

@@ -142,7 +142,7 @@ def run_all():
             weights = WeightAssignment(sample.weights)
             report = residual_structure(mesh3, weights)
             theta = flow_velocity(mesh3, weights)
-            constants = flow_constants(mesh3, weights, energy=report.energy)
+            constants = flow_constants(mesh3, weights)
             bound = -constants.loop_gap * constants.min_weight / (
                 2.0 * constants.asym_bound
             )

@@ -117,18 +117,33 @@ def test_embed_rejects_non_admissible(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, tol", [("embed", "nan"), ("energy", "0"), ("retract", "-1")])
 def test_bad_tol_exit_code(workspace, tmp_path, capsys, command, tol):
-    """A tolerance that is not positive and finite is an input error."""
+    """No command takes a tolerance: ``--tol`` is an unknown flag, exit 2, nothing written."""
     mesh, _, paths = workspace
     values = np.ones(54)
     values[mesh.edge_index[(0, 1)]] = 5.0
     bad = tmp_path / "bad.json"
     dump_json(weights_to_json(mesh, WeightAssignment(values)), bad)
     extra = ["--out-placement", tmp_path / "never.json"] if command == "embed" else []
+    argv = [command, "--mesh", paths["mesh"], "--weights", bad, "--tol", tol, *extra]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("magnitude", ["nan", "-0.1", "inf"])
+def test_gen_bad_perturb_exit_code(tmp_path, capsys, magnitude):
+    """A perturbation that is negative or not finite is an input error, raised before any write."""
     code, out = run(capsys, [
-        command, "--mesh", paths["mesh"], "--weights", bad, "--tol", tol, *extra,
+        "gen", "--size", 3, "--out-mesh", tmp_path / "m.json",
+        "--out-placement", tmp_path / "p.json", "--perturb", magnitude,
     ])
     assert code == 2
-    assert "tol must be positive and finite" in out.err
+    assert f"got {magnitude}" in out.err
+    assert "Warning" not in out.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_retract_flow(workspace, tmp_path, capsys):
@@ -336,15 +351,15 @@ def test_quiet_suppresses_output(workspace, capsys):
     assert out.out == ""
 
 
-# the shared flags each command reads; any other use is an unknown flag
+# the shared flags each command reads; any other use, and --tol anywhere, is an unknown flag
 READS = {
     "validate": {"--quiet"},
     "gen": {"--seed", "--quiet"},
-    "embed": {"--tol", "--quiet"},
+    "embed": {"--quiet"},
     "mvc": {"--quiet"},
-    "energy": {"--tol"},
-    "retract": {"--tol", "--quiet"},
-    "morph": {"--tol", "--quiet"},
+    "energy": set(),
+    "retract": {"--quiet"},
+    "morph": {"--quiet"},
     "index": set(),
     "render": {"--quiet"},
 }

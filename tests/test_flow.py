@@ -87,7 +87,8 @@ def test_loop_gap_values(grid3, grid4, grid5, k7):
 
 def test_flow_constants_uniform_grid(grid3):
     mesh, _ = grid3
-    constants = flow_constants(mesh, uniform_weights(mesh), energy=4.0)
+    weights = uniform_weights(mesh)
+    constants = flow_constants(mesh, weights)
     gap = constants.loop_gap
     assert gap == pytest.approx(GRID3_GAP, rel=1e-15)
     assert constants.min_weight == 1.0
@@ -99,7 +100,7 @@ def test_flow_constants_uniform_grid(grid3):
     assert constants.decay_rate == pytest.approx(gap / 78732.0, rel=1e-13)
     assert constants.decay_rate == pytest.approx(2.9937288573326703e-06, rel=1e-12)
     assert constants.time_bound == pytest.approx(
-        2.0 * math.sqrt(4.0) / constants.decay_rate, rel=1e-13
+        2.0 * math.sqrt(balance_energy(mesh, weights)) / constants.decay_rate, rel=1e-13
     )
 
 
@@ -145,7 +146,7 @@ def test_velocity_gate_implications(grid3, rng):
         gap = values - values[rev]
         assert np.all(theta[gap >= 2.0] == 0.0)
         # fully open gates pass the weight through unchanged
-        constants = flow_constants(mesh, weights, energy=report.energy)
+        constants = flow_constants(mesh, weights)
         open_mask = ((values + values[rev]) * u <= -constants.gate_scale) & (
             gap <= 1.0
         )
@@ -175,7 +176,7 @@ def test_dissipation_bound(grid3, rng):
         weights = WeightAssignment(values)
         report = residual_structure(mesh, weights)
         theta = flow_velocity(mesh, weights)
-        constants = flow_constants(mesh, weights, energy=report.energy)
+        constants = flow_constants(mesh, weights)
         dissipation = float(np.dot(report.projections, theta))
         bound = -constants.loop_gap * constants.min_weight / (
             2.0 * constants.asym_bound
@@ -297,7 +298,7 @@ def test_retract_dissipation_along_trajectory(grid3):
         weights = WeightAssignment(sample.weights)
         report = residual_structure(mesh, weights)
         theta = flow_velocity(mesh, weights)
-        constants = flow_constants(mesh, weights, energy=report.energy)
+        constants = flow_constants(mesh, weights)
         bound = -constants.loop_gap * constants.min_weight / (
             2.0 * constants.asym_bound
         )
@@ -360,7 +361,7 @@ def test_retract_coordinates_are_the_tutte_map():
     mesh, _ = gen_grid(6)
     values = np.random.default_rng(0).uniform(0.5, 2.0, len(mesh.directed_edges))
     for weights in (WeightAssignment(values), uniform_weights(mesh)):
-        trace, coords = _retract(mesh, weights, 1e-10, 200_000)
+        trace, coords = _retract(mesh, weights, 200_000)
         assert np.array_equal(coords, tutte_map(mesh, trace.final_weights).coords)
 
 

@@ -53,6 +53,17 @@ def test_svg_size_and_labels(grid3):
     assert {t.text for t in texts} == {str(v) for v in range(9)}
 
 
+def test_labels_wrap_into_the_square(grid3):
+    """A tiny negative coordinate wraps to 0, not to the far edge of the square."""
+    mesh, placement = grid3
+    coords = placement.coords.copy()
+    coords[4] = [-1e-20, 0.5]
+    root = parse(render_svg(mesh, Placement(coords), labels=True))
+    texts = {t.text: t for t in root.iter(f"{SVG}text")}
+    assert (texts["4"].get("x"), texts["4"].get("y")) == ("4.0", "396.0")
+    assert all(float(t.get("x")) < 800 for t in texts.values())
+
+
 def test_svg_deterministic(bumpy3):
     mesh, placement = bumpy3
     assert render_svg(mesh, placement) == render_svg(mesh, placement)

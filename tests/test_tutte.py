@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import helpers
+import torustutte.tutte
 from torustutte import (
+    ALREADY_ADMISSIBLE,
     WeightAssignment,
     assemble_system,
     balance_energy,
@@ -23,7 +27,14 @@ from torustutte import (
     verify_embedding,
     weights_from_dict,
 )
-from torustutte.errors import NonPositiveWeightError, NotAdmissibleError, SingularSystemError
+from torustutte.cli import main
+from torustutte.errors import (
+    AdmissibleInputError,
+    NonPositiveWeightError,
+    NotAdmissibleError,
+    SingularSystemError,
+)
+from torustutte.serialize import dump_json, mesh_to_json, weights_to_json
 
 
 def single_asymmetry(mesh, edge=(0, 1), value=5.0):
@@ -41,7 +52,7 @@ def test_uniform_weights(grid3):
     w = uniform_weights(mesh)
     assert w.values.shape == (54,)
     assert np.all(w.values == 1.0)
-    with pytest.raises(NonPositiveWeightError):
+    with pytest.raises(TypeError):  # every weight is 1.0; there is no value to pass
         uniform_weights(mesh, 0.0)
 
 
@@ -312,17 +323,18 @@ def test_tutte_map_rejects_non_admissible(grid3):
 
 
 def test_is_admissible_rejects_bad_tol(grid3):
+    """A tolerance passed by position is an extra argument, not a threshold."""
     mesh, _ = grid3
-    with pytest.raises(ValueError):
-        is_admissible(mesh, uniform_weights(mesh), tol=0.0)
-    with pytest.raises(ValueError):
-        is_admissible(mesh, uniform_weights(mesh), tol=-1.0)
+    with pytest.raises(TypeError):
+        is_admissible(mesh, uniform_weights(mesh), 0.0)
+    with pytest.raises(TypeError):
+        is_admissible(mesh, uniform_weights(mesh), -1.0)
 
 
-def morph_grid3(mesh, weights, tol):
+def morph_grid3(mesh, weights, **options):
     """A two-frame morph of the 3x3 grid onto itself; ignores ``weights``."""
     placement = gen_grid(3)[1]
-    return morph(mesh, placement, placement, 2, tol=tol)
+    return morph(mesh, placement, placement, 2, **options)
 
 
 TOL_ENTRY_POINTS = {
@@ -339,10 +351,30 @@ TOL_ENTRY_POINTS = {
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 @pytest.mark.parametrize("entry", list(TOL_ENTRY_POINTS))
 def test_bad_tol_rejected_everywhere(grid3, entry, tol):
-    """Every solve with a tolerance rejects one that is not positive and finite."""
+    """No entry point takes a tolerance: ``ADMISSIBLE_TOL`` alone decides."""
     mesh, _ = grid3
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        TOL_ENTRY_POINTS[entry](mesh, single_asymmetry(mesh), tol)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+        TOL_ENTRY_POINTS[entry](mesh, single_asymmetry(mesh), tol=tol)
+
+
+def test_one_constant_decides_admissibility(grid3, tmp_path, capsys, monkeypatch):
+    """Raising ADMISSIBLE_TOL above an energy makes every verdict admissible at once."""
+    mesh, _ = grid3
+    weights = single_asymmetry(mesh)
+    energy = balance_energy(mesh, weights)
+    assert 0.07 < energy < 0.08
+    monkeypatch.setattr(torustutte.tutte, "ADMISSIBLE_TOL", 0.1)
+    assert tutte_map(mesh, weights).anchored
+    assert is_admissible(mesh, weights)
+    with pytest.raises(AdmissibleInputError):
+        flow_velocity(mesh, weights)
+    assert retract(mesh, weights).status == ALREADY_ADMISSIBLE
+    paths = tmp_path / "mesh.json", tmp_path / "weights.json"
+    dump_json(mesh_to_json(mesh), paths[0])
+    dump_json(weights_to_json(mesh, weights), paths[1])
+    assert main(["energy", "--mesh", str(paths[0]), "--weights", str(paths[1])]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"energy": energy, "admissible": True, "tol": 0.1}
 
 
 def stiff_weights(mesh, kind, rng):
