@@ -42,7 +42,7 @@ class ShiftConflictError(MeshError):
 
 
 class NoGeneratorLoopError(MeshError):
-    """No loop with the requested shift sum keeps every partial shift sum in [-V, V]."""
+    """The shift sums of closed walks do not generate Z^2, so some class has no loop."""
 
 
 class DegenerateFaceError(TorusTutteError):

@@ -37,6 +37,7 @@ on to the coordinates and the edge projections.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,12 @@ def asymmetry_gate(s):
 
 
 def loop_gap(mesh):
-    """1 / (sqrt(2) * length of the longer generator loop)."""
+    """1 / (sqrt(2) * length of the longer generator loop).
+
+    Any closed walks with shift sums (1,0) and (0,1) serve: the
+    projections of a closed walk's lifted edges onto a unit d sum to
+    d . (shift sum).
+    """
     loops = generator_loops(mesh)
     k = max(len(loops.horizontal), len(loops.vertical))
     return 1.0 / (np.sqrt(2.0) * k)
@@ -196,13 +202,16 @@ def retract(mesh, weights, max_steps=200_000):
     factors the balance system once. Returns a FlowTrace whose samples
     record every accepted state; status is ``converged``,
     ``already_admissible``, or ``budget_exceeded`` (best weights found
-    are still returned).
+    are still returned). A negative or non-integer ``max_steps`` is a
+    ValueError, raised before any solve.
     """
     return _retract(mesh, weights, max_steps)[0]
 
 
 def _retract(mesh, weights, max_steps):
     """``retract``, plus the balanced coordinates of the last sample."""
+    if not isinstance(max_steps, numbers.Integral) or max_steps < 0:
+        raise ValueError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     values = _validated_values(mesh, weights).copy()
     rev = mesh.reverse_index
     # one CSC pattern serves every trial of this run

@@ -11,18 +11,22 @@ along loops that generate the two torus directions.
 Validation happens in :func:`build_mesh`, in int64; the class itself is
 dumb storage plus derived lookup tables, int32 since a valid mesh has
 V = F/2, and is immutable after construction. :func:`generator_loops`
-finds the shortest loops of both classes by one batched breadth-first
-search over the cover graph from every start at once.
+finds the shortest closed walks through vertex 0 of both classes by one
+breadth-first search over the cover graph, in the gauge of a
+breadth-first tree from vertex 0.
 """
 
+import math
 import operator
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import (
     BadFaceError,
@@ -42,10 +46,10 @@ MIN_VERTICES = 7
 
 @dataclass(frozen=True)
 class GeneratorLoops:
-    """Shortest loops whose shift sums are (1,0) and (0,1).
+    """Shortest closed walks through vertex 0 whose shift sums are (1,0) and (0,1).
 
-    Each loop is a cyclic vertex sequence; the closing edge from the
-    last vertex back to the first is implicit. Lengths are the edge
+    Each walk is a vertex sequence starting at 0; the closing edge from
+    the last vertex back to 0 is implicit. Lengths are the edge
     counts, so ``len(horizontal)`` and ``len(vertical)``.
     """
 
@@ -331,129 +335,64 @@ def rotation_order(mesh, v):
     return tuple((v, u) for u in mesh.rotation[v])
 
 
-def _loop_lengths(mesh, target):
-    """Length D of the shortest clamped loop with shift sum ``target``, and its start.
-
-    The states are (vertex, accumulated shift) pairs of the cover graph,
-    shift components clamped to [-V, V]. Starts are the sources of edges
-    with a nonzero shift on an axis where the target is nonzero: a loop
-    with that shift sum uses such an edge, and rotating it to begin at
-    the edge's source keeps its length and shift sum. The cover graph is
-    undirected and invariant under lattice translation, so a loop of
-    length 2r - 1 or 2r from (s, 0) to (s, t) meets, at level r, the
-    ball around (s, 0) under the clamp C and the ball around (s, t)
-    translated by -t, which is the ball around (s, 0) under C - t. Both
-    balls of every start grow one level per round, each level being the
-    neighbours of the last one minus the last two levels. The first
-    round that meets gives D, and the smallest start meeting there is
-    the one the first-strictly-shortest rule picks.
-
-    A state (group start g, side, vertex v, shift x, y) is the int64 key
-    ``2 * (((2g + side) * V + v) * W**2 + (x + V + 1) * W + y + V + 1)``
-    with ``W = 2V + 3``; the low bit flags new candidates while a level
-    is merged. Starts run in groups of ``(2**63 - 1) // (4 V W**2)``, so no
-    key overflows; above 832 254 vertices not even one start fits, an
-    OverflowError.
-    """
-    n = mesh.vertex_count
-    tx, ty = int(target[0]), int(target[1])
-    starts = np.unique(mesh.directed_edges[mesh.shifts[:, 0 if tx else 1] != 0, 0]).astype(np.int64)
-    w = 2 * n + 3
-    cell = 2 * n * w * w
-    group = (2**63 - 1) // (2 * cell)
-    if not group:
-        raise OverflowError(f"loop search keys for {n} vertices do not fit in int64")
-    src, dst = mesh.directed_edges.astype(np.int64).T
-    bx, by = mesh.shifts.astype(np.int64).T
-    delta = 2 * ((dst - src) * w * w + bx * w + by) + 1
-    reach = int(np.abs(mesh.shifts).max(initial=0))
-    offsets = mesh.rotation_offsets.astype(np.int64)
-    best = None
-    for lo in range(0, len(starts), group):
-        chunk = starts[lo:lo + group]
-        origin = 2 * ((chunk * w + n + 1) * w + n + 1)
-        cur = np.arange(2 * len(chunk)) * cell + np.repeat(origin, 2)
-        prev = cur[:0]
-        r = 0
-        while len(cur) and (best is None or 2 * r + 1 < best[0]):
-            r += 1
-            v = cur % cell // (2 * w * w)
-            count = offsets[v + 1] - offsets[v]
-            e = np.repeat(offsets[v] - np.cumsum(count) + count, count) + np.arange(count.sum())
-            cand = np.repeat(cur, count) + delta[e]
-            if r * reach >= n:  # otherwise no shift can leave the clamp yet
-                xy = np.repeat(cur % (2 * w * w) // 2 + cur // cell % 2 * (tx * w + ty), count)
-                ok = (np.abs(xy // w - n - 1 + bx[e]) <= n) & (np.abs(xy % w - n - 1 + by[e]) <= n)
-                cand = cand[ok]
-            # An odd candidate is new when nothing sorts within one below it:
-            # neither the even key of an old state nor an equal candidate.
-            merged = np.sort(np.concatenate([cur, prev, cand]))
-            nxt = merged[(np.diff(merged, prepend=-2) > 1) & (merged & 1 == 1)] - 1
-            block = nxt // cell
-            forward = nxt[block % 2 == 0] + cell - 2 * (tx * w + ty)
-            for length, other in ((2 * r - 1, cur), (2 * r, nxt)):
-                pos = np.minimum(np.searchsorted(other, forward), len(other) - 1)
-                met = forward[other[pos] == forward]
-                if len(met) and (best is None or length < best[0]):
-                    best = (length, int(chunk[met[0] // (2 * cell)]))
-            # A start whose either ball is exhausted can meet no more.
-            sides = np.bincount(block, minlength=2 * len(chunk)).reshape(-1, 2)
-            prev, cur = cur, nxt[sides.all(axis=1)[block // 2]]
-    if best is None:
-        raise NoGeneratorLoopError(
-            f"no loop with shift sum ({tx}, {ty}) within the [-V, V] shift clamp"
-        )
-    return best
-
-
-def _shortest_loop(mesh, steps, target):
-    """Shortest closed walk whose shift sum equals target, as a vertex tuple.
-
-    One scalar breadth-first search from the start :func:`_loop_lengths`
-    picks, under the same clamp, with ``steps[v]`` the (neighbor, bx, by)
-    moves from v in rotation order and the first parent found kept.
-    """
-    n = mesh.vertex_count
-    tx, ty = int(target[0]), int(target[1])
-    _, start = _loop_lengths(mesh, target)
-    goal = (start, tx, ty)
-    parent = {(start, 0, 0): None}
-    frontier = [(start, 0, 0)]
-    found = None
-    while found is None:
-        nxt = []
-        for state in frontier:
-            for u, bx, by in steps[state[0]]:
-                ns = (u, state[1] + bx, state[2] + by)
-                if abs(ns[1]) > n or abs(ns[2]) > n:
-                    continue
-                if ns == goal:
-                    found = state
-                    break
-                if ns not in parent:
-                    parent[ns] = state
-                    nxt.append(ns)
-            if found is not None:
-                break
-        frontier = nxt
-    path = []
-    while found is not None:
-        path.append(found[0])
-        found = parent[found]
-    return tuple(reversed(path))
-
-
 def generator_loops(mesh):
-    """Shortest loops with shift sums (1,0) and (0,1), cached on the mesh."""
+    """Shortest closed walks through vertex 0 with shift sums (1,0) and (0,1).
+
+    A breadth-first tree from vertex 0 gives each vertex the potential
+    p_v, the shift sum along its tree path, and each edge the value
+    c_ij = p_i + b_ij - p_j, the shift sum of the closed walk 0 -> i -> j
+    -> 0. A walk from 0 has the shift sum of its c values once it closes,
+    and c does not change under a re-gauging b_ij += t_j - t_i. The
+    search is breadth-first over (vertex, sum of c) states from (0, 0, 0)
+    until both (0, 1, 0) and (0, 0, 1) are reached, moves in rotation
+    order, the first parent found kept. It ends when the c values
+    generate Z^2, that is when their 2 x 2 determinants have gcd 1;
+    otherwise NoGeneratorLoopError is raised before it starts. Cached on
+    the mesh.
+    """
     cached = mesh._cache.get("generator_loops")
     if cached is None:
+        n = mesh.vertex_count
+        src, dst = mesh.directed_edges.T.copy()
+        graph = scipy.sparse.csr_matrix(
+            (np.ones(len(src)), dst, mesh.rotation_offsets), shape=(n, n)
+        )
+        pred = breadth_first_order(graph, 0, return_predecessors=True)[1]
+        tree = mesh.edge_ids(pred, np.arange(n))
+        p = np.where(tree[:, None] >= 0, mesh.shifts[tree], 0).astype(np.int64)
+        # Pointer doubling: p[v] sums the path from v up to up[v].
+        up = np.maximum(pred, 0)
+        while up.any():
+            p, up = p + p[up], up[up]
+        c = p[src] + mesh.shifts - p[dst]
+        values = np.unique(c, axis=0).tolist()
+        if math.gcd(*(x * w - y * z for (x, y), (z, w) in combinations(values, 2))) != 1:
+            raise NoGeneratorLoopError(
+                "the shift sums of closed walks do not generate Z^2"
+            )
         ring = mesh.rotation_edges
-        moves = np.column_stack([mesh.directed_edges[ring, 1], mesh.shifts[ring]]).tolist()
+        moves = np.column_stack([dst[ring], c[ring]]).tolist()
         bounds = mesh.rotation_offsets.tolist()
         steps = [tuple(map(tuple, moves[a:b])) for a, b in zip(bounds, bounds[1:])]
-        cached = GeneratorLoops(
-            horizontal=_shortest_loop(mesh, steps, (1, 0)),
-            vertical=_shortest_loop(mesh, steps, (0, 1)),
-        )
+        horizontal, vertical = (0, 1, 0), (0, 0, 1)
+        parent = {(0, 0, 0): None}
+        queue = deque(parent)
+        while horizontal not in parent or vertical not in parent:
+            state = queue.popleft()
+            v, x, y = state
+            for u, cx, cy in steps[v]:
+                move = (u, x + cx, y + cy)
+                if move not in parent:
+                    parent[move] = state
+                    queue.append(move)
+
+        def walk(goal):
+            path, state = [], parent[goal]
+            while state is not None:
+                path.append(state[0])
+                state = parent[state]
+            return tuple(reversed(path))
+
+        cached = GeneratorLoops(horizontal=walk(horizontal), vertical=walk(vertical))
         mesh._cache["generator_loops"] = cached
     return cached

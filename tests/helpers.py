@@ -116,6 +116,24 @@ def random_diagonal_grid(m, rng):
     return faces, shifts
 
 
+def canonical_shift_dict(mesh):
+    """One orientation per edge, as build_mesh accepts."""
+    out = {}
+    for k, (i, j) in enumerate(mesh.directed_edges):
+        if i < j:
+            out[(int(i), int(j))] = tuple(int(x) for x in mesh.shifts[k])
+    return out
+
+
+def regauged(mesh, t):
+    """The same torus with vertex v moved by the lattice vector t[v]: b_ij += t_j - t_i."""
+    shifts = {
+        (i, j): (bx + t[j][0] - t[i][0], by + t[j][1] - t[i][1])
+        for (i, j), (bx, by) in canonical_shift_dict(mesh).items()
+    }
+    return build_mesh(mesh.faces.tolist(), shifts)
+
+
 def grid_coords(m):
     return np.array([(x / m, y / m) for y in range(m) for x in range(m)])
 
@@ -358,11 +376,13 @@ def brute_shortest_loop(mesh, target, limit):
 def oracle_shortest_loop(mesh, target):
     """Shortest closed walk with shift sum ``target``, searched from every vertex.
 
-    The oracle of the batched wrap-edge search: breadth-first over
-    (vertex, accumulated shift) states with components clamped to
-    [-V, V], moves in rotation order, every vertex tried as a start in
-    ascending order, first strictly shortest loop wins. Returns None
-    when no loop is found.
+    The reference for ``generator_loops``, which searches from vertex 0
+    only and in the gauge of a spanning tree: breadth-first over
+    (vertex, accumulated shift) states in the mesh's own gauge, with
+    components clamped to [-V, V], moves in rotation order, every vertex
+    tried as a start in ascending order, first strictly shortest loop
+    wins. The clamp depends on the gauge, so after a wide re-gauging it
+    may return a longer loop or none. Returns None when no loop is found.
     """
     n = mesh.vertex_count
     steps = [

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 import torustutte.cli
 import torustutte.tutte
 from torustutte import WeightAssignment, gen_grid, perturb, uniform_weights, verify_embedding
@@ -189,6 +190,23 @@ def test_retract_budget_exit_code(workspace, tmp_path, capsys):
     assert json.loads(out.out)["status"] == "budget_exceeded"
 
 
+@pytest.mark.parametrize("command", ["retract", "morph"])
+def test_negative_step_budget_exit_code(workspace, tmp_path, capsys, command):
+    _, placement, paths = workspace
+    start = tmp_path / "start.json"
+    dump_json(placement_to_json(placement), start)
+    outputs = {
+        "retract": ["--weights", paths["weights"], "--trace", tmp_path / "trace.jsonl",
+                    "--out-weights", tmp_path / "out.json"],
+        "morph": ["--from", start, "--to", start, "--out-dir", tmp_path / "frames"],
+    }[command]
+    before = set(tmp_path.iterdir())
+    code, out = run(capsys, [command, "--mesh", paths["mesh"], *outputs, "--max-steps", -1])
+    assert code == 2
+    assert "max_steps must be a nonnegative integer, got -1" in out.err
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_morph_command(workspace, tmp_path, capsys):
     _, _, paths = workspace
     pa, pb = tmp_path / "pa.json", tmp_path / "pb.json"
@@ -295,6 +313,16 @@ def test_validate_huge_shift_exit_code(workspace, tmp_path, capsys):
     code, out = run(capsys, ["validate", "--mesh", bad])
     assert code == 2
     assert f"shift ({doc['shifts'][0][2]}, {2**70}) of edge" in out.err
+
+
+def test_validate_regauged_mesh(tmp_path, capsys):
+    """Moving each vertex by a lattice vector changes no generator length."""
+    t = np.random.default_rng(31).integers(-30, 31, (9, 2))
+    path = tmp_path / "moved.json"
+    dump_json(mesh_to_json(helpers.regauged(gen_grid(3)[0], t.tolist())), path)
+    code, out = run(capsys, ["validate", "--mesh", path])
+    assert code == 0
+    assert json.loads(out.out)["generator_lengths"] == [3, 3]
 
 
 def test_validate_huge_vertex_id_exit_code(workspace, tmp_path, capsys):

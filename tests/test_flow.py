@@ -247,6 +247,15 @@ def test_retract_budget_exceeded(grid3):
     assert trace.samples[-1].energy < trace.samples[0].energy
 
 
+@pytest.mark.parametrize("max_steps", [-1, 2.0, 1.5, "3", None])
+def test_retract_rejects_bad_step_budget(grid3, monkeypatch, max_steps):
+    mesh, _ = grid3
+    solves = counting(monkeypatch, torustutte.flow, "_factor")
+    with pytest.raises(ValueError, match="max_steps must be a nonnegative integer"):
+        retract(mesh, single_asymmetry(mesh), max_steps=max_steps)
+    assert solves[0] == 0
+
+
 def test_retract_idempotent(grid3):
     mesh, _ = grid3
     trace = retract(mesh, single_asymmetry(mesh))

@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+import torustutte.mesh
 from torustutte import (
     WeightAssignment,
     build_mesh,
@@ -26,15 +28,6 @@ from torustutte.errors import (
     NonManifoldVertexError,
     ShiftConflictError,
 )
-
-
-def canonical_shift_dict(mesh):
-    """One orientation per edge, as build_mesh accepts."""
-    out = {}
-    for k, (i, j) in enumerate(mesh.directed_edges):
-        if i < j:
-            out[(int(i), int(j))] = tuple(int(x) for x in mesh.shifts[k])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ def test_bad_face_repeated_vertex(grid3):
     faces = [tuple(f) for f in mesh.faces]
     faces[0] = (faces[0][0], faces[0][0], faces[0][2])
     with pytest.raises(BadFaceError):
-        build_mesh(faces, canonical_shift_dict(mesh))
+        build_mesh(faces, helpers.canonical_shift_dict(mesh))
 
 
 def test_bad_face_out_of_range(grid3):
@@ -227,7 +220,7 @@ def test_disconnected_pair_of_tori(grid3):
     mesh, _ = grid3
     faces = [tuple(f) for f in mesh.faces]
     shifted = [tuple(v + 9 for v in f) for f in faces]
-    shifts = canonical_shift_dict(mesh)
+    shifts = helpers.canonical_shift_dict(mesh)
     shifts.update({(i + 9, j + 9): s for (i, j), s in shifts.items()})
     with pytest.raises(DisconnectedError):
         build_mesh(faces + shifted, shifts)
@@ -235,7 +228,7 @@ def test_disconnected_pair_of_tori(grid3):
 
 def test_shift_on_nonedge_rejected(grid3):
     mesh, _ = grid3
-    shifts = canonical_shift_dict(mesh)
+    shifts = helpers.canonical_shift_dict(mesh)
     assert (0, 5) not in mesh.edge_index
     shifts[(0, 5)] = (1, 0)
     with pytest.raises(MeshError, match="non-edge"):
@@ -244,7 +237,7 @@ def test_shift_on_nonedge_rejected(grid3):
 
 def test_conflicting_shift_orientations(grid3):
     mesh, _ = grid3
-    shifts = canonical_shift_dict(mesh)
+    shifts = helpers.canonical_shift_dict(mesh)
     (i, j), value = next(iter(shifts.items()))
     shifts[(j, i)] = tuple(value)  # should be the negation
     if value == (0, 0):
@@ -255,7 +248,7 @@ def test_conflicting_shift_orientations(grid3):
 
 def test_both_orientations_consistent_ok(grid3):
     mesh, _ = grid3
-    shifts = canonical_shift_dict(mesh)
+    shifts = helpers.canonical_shift_dict(mesh)
     shifts.update({(j, i): (-s[0], -s[1]) for (i, j), s in shifts.items()})
     rebuilt = build_mesh([tuple(f) for f in mesh.faces], shifts)
     assert np.array_equal(rebuilt.shifts, mesh.shifts)
@@ -263,7 +256,7 @@ def test_both_orientations_consistent_ok(grid3):
 
 def test_cocycle_violation(grid3):
     mesh, _ = grid3
-    shifts = canonical_shift_dict(mesh)
+    shifts = helpers.canonical_shift_dict(mesh)
     seam = next(e for e, s in shifts.items() if s != (0, 0))
     sx, sy = shifts[seam]
     shifts[seam] = (sx, sy + 1)
@@ -278,27 +271,28 @@ def test_cocycle_violation(grid3):
 def test_shift_outside_int32_names_its_edge(grid3):
     mesh, _ = grid3
     for value in (2**31, -2**31, 2**70):
-        shifts = {**canonical_shift_dict(mesh), (0, 3): (0, value)}
+        shifts = {**helpers.canonical_shift_dict(mesh), (0, 3): (0, value)}
         with pytest.raises(MeshError, match=rf"^shift \(0, {value}\) of edge \(0, 3\) does not"):
             build_mesh([tuple(f) for f in mesh.faces], shifts)
     # vertex 0 moved 2**31 - 2 along x: its shifts reach +-(2**31 - 1)
-    moved = regauged(mesh, [(2**31 - 2, 0)] + [(0, 0)] * 8)
+    moved = helpers.regauged(mesh, [(2**31 - 2, 0)] + [(0, 0)] * 8)
     assert np.abs(moved.shifts).max() == 2**31 - 1
 
 
 def test_unlisted_shifts_default_to_zero(grid3):
     mesh, _ = grid3
-    sparse = {e: s for e, s in canonical_shift_dict(mesh).items()
+    sparse = {e: s for e, s in helpers.canonical_shift_dict(mesh).items()
               if s != (0, 0)}
     rebuilt = build_mesh([tuple(f) for f in mesh.faces], sparse)
     assert np.array_equal(rebuilt.shifts, mesh.shifts)
 
 
-def test_all_zero_shifts_have_no_generators(grid3):
+def test_all_zero_shifts_have_no_generators(grid3, monkeypatch):
     """Zero shifts close every cocycle but wind around nothing."""
     mesh, _ = grid3
     rebuilt = build_mesh([tuple(f) for f in mesh.faces], {})
-    with pytest.raises(NoGeneratorLoopError):
+    monkeypatch.setattr(torustutte.mesh, "deque", None)  # raised before the state search
+    with pytest.raises(NoGeneratorLoopError, match="do not generate Z"):
         generator_loops(rebuilt)
 
 
@@ -357,70 +351,94 @@ def test_generator_loops_cached(grid3):
     assert generator_loops(mesh) is generator_loops(mesh)
 
 
-def test_no_generator_loop(grid3):
+def test_no_generator_loop(grid3, monkeypatch):
     """Doubling every shift keeps cocycles closed but kills odd classes."""
     mesh, _ = grid3
     doubled = {e: (2 * s[0], 2 * s[1])
-               for e, s in canonical_shift_dict(mesh).items()}
+               for e, s in helpers.canonical_shift_dict(mesh).items()}
     rebuilt = build_mesh([tuple(f) for f in mesh.faces], doubled)
-    with pytest.raises(NoGeneratorLoopError):
+    monkeypatch.setattr(torustutte.mesh, "deque", None)  # raised before the state search
+    with pytest.raises(NoGeneratorLoopError, match="do not generate Z"):
         generator_loops(rebuilt)
 
 
-def regauged(mesh, t):
-    """The same torus with vertex v moved by the lattice vector t[v]: b_ij += t_j - t_i."""
-    shifts = {
-        (i, j): (bx + t[j][0] - t[i][0], by + t[j][1] - t[i][1])
-        for (i, j), (bx, by) in canonical_shift_dict(mesh).items()
-    }
-    return build_mesh(mesh.faces.tolist(), shifts)
+@functools.cache
+def loop_search_bases():
+    """The meshes of ``loop_search_inputs`` before any re-gauging, by name."""
+    bases = {"k7": gen_k7()[0], **{f"grid{m}": gen_grid(m)[0] for m in (3, 4, 5, 6, 12)}}
+    for m, seed in ((8, 11), (12, 12), (5, 5)):
+        faces, shifts = helpers.random_diagonal_grid(m, np.random.default_rng(seed))
+        bases[f"diagonal{m}"] = build_mesh(faces, shifts)
+    return bases
 
 
 def loop_search_inputs():
-    meshes = [("k7", gen_k7()[0])] + [(f"grid{m}", gen_grid(m)[0]) for m in (3, 4, 5, 6, 12)]
-    for m, seed in ((8, 11), (12, 12)):
-        faces, shifts = helpers.random_diagonal_grid(m, np.random.default_rng(seed))
-        meshes.append((f"diagonal{m}", build_mesh(faces, shifts)))
+    bases = loop_search_bases()
+    names = ("k7", "grid3", "grid4", "grid5", "grid6", "grid12", "diagonal8", "diagonal12")
+    meshes = [(name, bases[name]) for name in names]
     rng = np.random.default_rng(29)
     meshes += [
-        (f"{name} regauged", regauged(mesh, rng.integers(-2, 3, (mesh.vertex_count, 2)).tolist()))
+        (f"{name} regauged", helpers.regauged(mesh, rng.integers(-2, 3, (mesh.vertex_count, 2)).tolist()))
         for name, mesh in meshes
     ]
-    # Wide re-gaugings make the [-V, V] clamp bind. It rules out every
-    # loop of k7 at spreads 10-30 and of grid3 and grid4 at spread 30,
-    # and a search that reused the forward ball for the backward one
-    # picks another start on 'grid4 spread 10' and 'diagonal5 spread 30'.
-    faces, shifts = helpers.random_diagonal_grid(5, np.random.default_rng(5))
-    small = [("k7", gen_k7()[0])] + [(f"grid{m}", gen_grid(m)[0]) for m in (3, 4, 5)]
-    small.append(("diagonal5", build_mesh(faces, shifts)))
+    # Wide re-gaugings make the oracle's [-V, V] clamp bind. It finds no
+    # loop on k7 at spreads 10-30 nor on grid3 and grid4 at spread 30,
+    # and longer ones on 'grid3 spread 20', 'grid4 spread 20' and
+    # 'grid5 spread 30'.
+    small = [(name, bases[name]) for name in ("k7", "grid3", "grid4", "grid5", "diagonal5")]
     rng = np.random.default_rng(31)
     meshes += [
-        (f"{name} spread {s}", regauged(mesh, rng.integers(-s, s + 1, (mesh.vertex_count, 2)).tolist()))
+        (f"{name} spread {s}", helpers.regauged(mesh, rng.integers(-s, s + 1, (mesh.vertex_count, 2)).tolist()))
         for name, mesh in small
         for s in (5, 10, 20, 30)
     ]
-    # Largest shift 7 = V: in round 1 only the backward ball, moved by -t,
-    # can leave the clamp, and it does.
+    # Largest shift 7 = V: the oracle's clamp binds from the first step.
     t = [(-4, 1), (3, -2), (1, -2), (1, -2), (1, -4), (0, -3), (4, -2)]
-    meshes.append(("k7 clamp binds at once", regauged(small[0][1], t)))
+    meshes.append(("k7 clamp binds at once", helpers.regauged(bases["k7"], t)))
     return meshes
 
 
 @pytest.mark.parametrize("name, mesh", loop_search_inputs())
 def test_loops_match_all_starts_oracle(name, mesh):
-    """Wrap-edge starts give the loops of the search from every vertex.
+    """Walks through vertex 0 are gauge-free and no longer than the oracle's loops.
 
-    Re-gauging moves the wrap edges but not the loops. Where the oracle
-    finds no loop within the clamp, the search raises.
+    Each walk starts at 0, closes with the exact shift sum and equals the
+    walk of the mesh before re-gauging. The oracle searches from every
+    start under a gauge-dependent clamp: without a wide re-gauging
+    ("spread") its loops have the same lengths, with one it may return
+    longer loops or none.
     """
-    expected = [helpers.oracle_shortest_loop(mesh, target) for target in ((1, 0), (0, 1))]
-    if None in expected:
-        with pytest.raises(NoGeneratorLoopError):
-            generator_loops(mesh)
-        return
     loops = generator_loops(mesh)
-    assert loops.horizontal == expected[0]
-    assert loops.vertical == expected[1]
+    base = generator_loops(loop_search_bases()[name.split()[0]])
+    for loop, same, target in ((loops.horizontal, base.horizontal, (1, 0)),
+                               (loops.vertical, base.vertical, (0, 1))):
+        assert loop[0] == 0
+        assert_valid_loop(mesh, loop, target)
+        assert loop == same
+        expected = helpers.oracle_shortest_loop(mesh, target)
+        if "spread" not in name:
+            assert len(loop) == len(expected)
+        elif expected is not None:
+            assert len(loop) <= len(expected)
+
+
+@pytest.mark.parametrize("spread", [30, 10**4, 10**6])
+@pytest.mark.parametrize("name", ["grid3", "grid4", "grid5", "k7", "diagonal5"])
+def test_loops_do_not_depend_on_the_gauge(name, spread):
+    mesh = loop_search_bases()[name]
+    t = np.random.default_rng(0).integers(-spread, spread + 1, (mesh.vertex_count, 2))
+    assert generator_loops(helpers.regauged(mesh, t.tolist())) == generator_loops(mesh)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("m", [16, 18])
+def test_random_diagonal_loops_have_minimum_length(m, seed):
+    """Each edge moves at most one cell, and row 0 and column 0 are walks of m edges."""
+    mesh = build_mesh(*helpers.random_diagonal_grid(m, np.random.default_rng(seed)))
+    loops = generator_loops(mesh)
+    assert (len(loops.horizontal), len(loops.vertical)) == (m, m)
+    assert_valid_loop(mesh, loops.horizontal, (1, 0))
+    assert_valid_loop(mesh, loops.vertical, (0, 1))
 
 
 def test_generator_loops_grid40():
@@ -433,7 +451,7 @@ def test_generator_loops_grid40():
 
 
 def test_loop_search_memory_peak():
-    """The batched search of an 18 x 18 mesh peaks at most at 4 MiB."""
+    """The loop search of an 18 x 18 mesh peaks at most at 4 MiB."""
     faces, shifts = helpers.random_diagonal_grid(18, np.random.default_rng(3))
     mesh = build_mesh(faces, shifts)
     tracemalloc.start()
@@ -446,16 +464,14 @@ def test_loop_search_memory_peak():
 
 
 def test_loop_length_exact_when_smallest_vertex_does_not_wrap():
-    """Moving the seam off vertex 0 changes which shortest loop is found, not its length."""
+    """Moving both seams off vertex 0 changes neither walk."""
     mesh, _ = gen_grid(4)
-    moved = regauged(mesh, [(int(v % 4 == 3), int(v >= 12)) for v in range(16)])
+    moved = helpers.regauged(mesh, [(int(v % 4 == 3), int(v >= 12)) for v in range(16)])
     assert not moved.shifts[moved.directed_edges[:, 0] == 0].any()
     loops = generator_loops(moved)
-    for loop, target in ((loops.horizontal, (1, 0)), (loops.vertical, (0, 1))):
-        assert_valid_loop(moved, loop, target)
-        expected = helpers.oracle_shortest_loop(moved, target)
-        assert expected[0] == 0 and loop[0] != 0
-        assert loop in {expected[k:] + expected[:k] for k in range(4)}
+    assert_valid_loop(moved, loops.horizontal, (1, 0))
+    assert_valid_loop(moved, loops.vertical, (0, 1))
+    assert loops == generator_loops(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +494,7 @@ def reference_inputs():
 @pytest.mark.parametrize("name, mesh", list(reference_inputs()))
 def test_tables_match_reference_builder(name, mesh):
     expected = helpers.oracle_mesh_tables(
-        [tuple(f) for f in mesh.faces], canonical_shift_dict(mesh), mesh.vertex_count
+        [tuple(f) for f in mesh.faces], helpers.canonical_shift_dict(mesh), mesh.vertex_count
     )
     for table in TABLES:
         got = getattr(mesh, table)
@@ -517,7 +533,7 @@ def test_fixtures_match_cell_by_cell_builders(m):
 def corrupted_inputs():
     mesh, _ = gen_grid(3)
     faces = [tuple(int(v) for v in f) for f in mesh.faces]
-    shifts = canonical_shift_dict(mesh)
+    shifts = helpers.canonical_shift_dict(mesh)
     seam = next(e for e, s in shifts.items() if s != (0, 0))
     yield "repeat", [(0, 0, 4)] + faces[1:], shifts, None
     yield "flipped", faces[:5] + [faces[5][::-1]] + faces[6:], shifts, None

@@ -104,6 +104,12 @@ def test_morph_raises_when_a_frame_does_not_converge(grid4):
         morph(mesh, start, end, 3, max_steps=0)
 
 
+def test_morph_rejects_negative_step_budget(bumpy4):
+    mesh, start = bumpy4
+    with pytest.raises(ValueError, match="max_steps must be a nonnegative integer, got -1"):
+        morph(mesh, start, start, 3, max_steps=-1)
+
+
 def test_verify_morph_flags_folded_frame(grid3, bumpy3):
     mesh, placement = grid3
     coords = placement.coords.copy()
