@@ -22,7 +22,6 @@ from .flow import (
     FlowTrace,
     asymmetry_gate,
     flow_constants,
-    flow_velocity,
     loop_gap,
     projection_gate,
     retract,
@@ -30,11 +29,8 @@ from .flow import (
 from .geometry import (
     EmbeddingReport,
     Placement,
-    corner_angle,
     edge_vectors,
-    face_signed_area,
     face_signed_areas,
-    lifted_edge_vector,
     verify_embedding,
 )
 from .mesh import (
@@ -51,22 +47,14 @@ from .oneform import (
     IndexReport,
     direction_form,
     generic_direction_form,
-    index_face,
     index_theorem_check,
-    index_vertex,
-    one_form_from_dict,
     one_form_from_values,
-    sign_changes_face,
-    sign_changes_vertex,
 )
 from .render import render_svg
 from .tutte import (
-    BalanceSystem,
     ResidualReport,
     WeightAssignment,
-    assemble_system,
     balance_energy,
-    is_admissible,
     residual_structure,
     solve_balance,
     tutte_map,
@@ -75,63 +63,3 @@ from .tutte import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALREADY_ADMISSIBLE",
-    "BUDGET_EXCEEDED",
-    "CONVERGED",
-    "BalanceSystem",
-    "DiscreteOneForm",
-    "EmbeddingReport",
-    "FlowConstants",
-    "FlowSample",
-    "FlowTrace",
-    "GeneratorLoops",
-    "IndexReport",
-    "MorphReport",
-    "Placement",
-    "ResidualReport",
-    "TorusTriangulation",
-    "WeightAssignment",
-    "assemble_system",
-    "asymmetry_gate",
-    "balance_energy",
-    "build_mesh",
-    "check_balanced",
-    "corner_angle",
-    "direction_form",
-    "edge_vectors",
-    "errors",
-    "face_signed_area",
-    "face_signed_areas",
-    "flow_constants",
-    "flow_velocity",
-    "gen_grid",
-    "gen_k7",
-    "generator_loops",
-    "generic_direction_form",
-    "index_face",
-    "index_theorem_check",
-    "index_vertex",
-    "is_admissible",
-    "lifted_edge_vector",
-    "loop_gap",
-    "mean_value_weights",
-    "morph",
-    "one_form_from_dict",
-    "one_form_from_values",
-    "perturb",
-    "projection_gate",
-    "render_svg",
-    "residual_structure",
-    "retract",
-    "rotation_order",
-    "sign_changes_face",
-    "sign_changes_vertex",
-    "solve_balance",
-    "tutte_map",
-    "uniform_weights",
-    "verify_embedding",
-    "verify_morph",
-    "weights_from_dict",
-]

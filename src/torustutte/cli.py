@@ -14,8 +14,6 @@ import numpy as np
 
 from . import serialize, tutte
 from .errors import (
-    AdmissibleInputError,
-    DegenerateFaceError,
     DegenerateVertexError,
     MeshError,
     NonPositiveWeightError,
@@ -37,8 +35,6 @@ VALIDATION_ERRORS = (
     NotEmbeddedError,
     NotAdmissibleError,
     NonPositiveWeightError,
-    AdmissibleInputError,
-    DegenerateFaceError,
     DegenerateVertexError,
     ValueError,
     KeyError,
@@ -188,6 +184,8 @@ def cmd_morph(args):
 
 
 def cmd_index(args):
+    if args.direction is not None and not np.isfinite(args.direction):
+        raise ValueError(f"--direction must be a finite angle in radians, got {args.direction}")
     mesh = _load(args.mesh, serialize.mesh_from_json)
     placement = _load(args.placement, serialize.placement_from_json)
     if args.direction is not None:

@@ -45,10 +45,6 @@ class NoGeneratorLoopError(MeshError):
     """The shift sums of closed walks do not generate Z^2, so some class has no loop."""
 
 
-class DegenerateFaceError(TorusTutteError):
-    """A face has numerically zero area where a nonzero one is required."""
-
-
 class NotEmbeddedError(TorusTutteError):
     """A placement that must be an embedding is not one."""
 
@@ -71,10 +67,6 @@ class NotAdmissibleError(TorusTutteError):
 
 class EmbeddingCheckFailedError(TorusTutteError):
     """A balanced placement failed the embedding certificate."""
-
-
-class AdmissibleInputError(TorusTutteError):
-    """The flow velocity is undefined on admissible weights."""
 
 
 class NonFiniteStateError(TorusTutteError):

@@ -42,14 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibleInputError, NonFiniteStateError
+from .errors import NonFiniteStateError
 from .mesh import generator_loops
 from .tutte import (
     WeightAssignment,
     _factor,
     _finish,
     _pattern,
-    _solve,
     _validated_values,
     balance_energy,
 )
@@ -171,17 +170,6 @@ def _velocity(mesh, values, u):
     ) * asymmetry_gate(values - values[rev])
 
 
-def flow_velocity(mesh, weights):
-    """dw/dt at the given weights; raises AdmissibleInputError on admissible ones."""
-    values = _validated_values(mesh, weights)
-    report = _solve(mesh, weights)[1]
-    if report.zero_residual:
-        raise AdmissibleInputError(
-            f"flow velocity undefined: energy {report.energy:.3e} is within tolerance"
-        )
-    return _velocity(mesh, values, report.projections)
-
-
 def _energy_slope(mesh, report, velocity):
     """dE/dt along ``velocity``: sum_ij v_ij * 2 sqrt(E) pi_i u_ij / |pi|."""
     pi = report.pi
@@ -215,7 +203,7 @@ def _retract(mesh, weights, max_steps):
     values = _validated_values(mesh, weights).copy()
     rev = mesh.reverse_index
     # one CSC pattern serves every trial of this run
-    pattern = _pattern(mesh, 1)
+    pattern = _pattern(mesh)
     factored = _factor(mesh, values, pattern)
     if not factored.energy < math.inf:
         raise NonFiniteStateError(f"balance energy of the initial weights is {factored.energy}")

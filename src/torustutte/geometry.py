@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFaceError
-
 AREA_TOL = 1e-12
 TOTAL_AREA_TOL = 1e-9
 
@@ -75,12 +73,6 @@ def edge_vectors(mesh, placement):
     return _lifted(mesh, placement, slice(None))
 
 
-def lifted_edge_vector(mesh, placement, edge):
-    """Lifted vector of one directed edge (i, j)."""
-    i, j = edge
-    return _lifted(mesh, placement, mesh.edge_index[(int(i), int(j))])
-
-
 def _cross(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
@@ -99,21 +91,6 @@ def _corner_angles(fv):
 def face_signed_areas(mesh, placement):
     """Signed area of every face; positive means counterclockwise."""
     return _signed_areas(_lifted(mesh, placement, mesh.face_edges))
-
-
-def face_signed_area(mesh, placement, face_index):
-    return float(_signed_areas(_lifted(mesh, placement, mesh.face_edges[face_index])))
-
-
-def corner_angle(mesh, placement, face_index, vertex):
-    """Unsigned inner angle of a face at one of its vertices, in (0, pi)."""
-    fv = _lifted(mesh, placement, mesh.face_edges[face_index])
-    if abs(_signed_areas(fv)) < AREA_TOL:
-        raise DegenerateFaceError(f"face {face_index} is degenerate")
-    corner = np.flatnonzero(mesh.faces[face_index] == int(vertex))
-    if not len(corner):
-        raise ValueError(f"vertex {vertex} is not a corner of face {face_index}")
-    return float(_corner_angles(fv)[corner[0]])
 
 
 def verify_embedding(mesh, placement):

@@ -127,12 +127,16 @@ class TorusTriangulation:
 
     def __init__(self, faces, shifts=None, vertex_count=None):
         try:
-            faces = np.asarray(faces, dtype=np.int64)
+            faces = np.asarray(_integral(faces, "vertex id"), dtype=np.int64)
         except OverflowError:
             face = next(f for f in faces if any(not -2**63 <= int(v) < 2**63 for v in f))
             raise BadFaceError(
                 f"face {tuple(map(int, face))} has a vertex id outside int64"
             ) from None
+        if isinstance(vertex_count, float):
+            if not vertex_count.is_integer():
+                raise MeshError(f"vertex_count {vertex_count!r} is not an integer")
+            vertex_count = int(vertex_count)
         if faces.ndim != 2 or faces.shape[1] != 3 or faces.shape[0] == 0:
             raise BadFaceError("faces must be a non-empty list of vertex triples")
         if faces.min() < 0:
@@ -259,15 +263,16 @@ class TorusTriangulation:
         given = np.zeros((len(rev), 2), dtype=np.int64)
         has = np.zeros(len(rev), dtype=bool)
         if shifts:
-            items = [(int(k[0]), int(k[1]), int(v[0]), int(v[1])) for k, v in dict(shifts).items()]
-            pos = edge_index.ids([r[0] for r in items], [r[1] for r in items])
+            rows = _integral([(*k, *v) for k, v in dict(shifts).items()], "shift entry")
+            pos = edge_index.ids(rows[:, 0], rows[:, 1])
             if (pos < 0).any():
-                i, j = items[int(np.argmax(pos < 0))][:2]
+                i, j = rows[np.argmax(pos < 0), :2].tolist()
                 raise MeshError(f"shift given for non-edge ({i}, {j})")
-            for i, j, bx, by in items:
-                if max(abs(bx), abs(by)) >= 2**31:
-                    raise MeshError(f"shift ({bx}, {by}) of edge ({i}, {j}) does not fit in int32")
-            given[pos] = [r[2:] for r in items]
+            wide = ((rows[:, 2:] <= -2**31) | (rows[:, 2:] >= 2**31)).any(axis=1)
+            if wide.any():
+                i, j, bx, by = rows[np.argmax(wide)].tolist()
+                raise MeshError(f"shift ({bx}, {by}) of edge ({i}, {j}) does not fit in int32")
+            given[pos] = rows[:, 2:]
             has[pos] = True
         conflict = (order < order[rev]) & has & has[rev] & (given != -given[rev]).any(axis=1)
         if conflict.any():
@@ -291,10 +296,6 @@ class TorusTriangulation:
     def degree(self, v):
         return int(self.rotation_offsets[v + 1] - self.rotation_offsets[v])
 
-    def shift(self, i, j):
-        """Lattice shift of the directed edge (i, j) as an int array."""
-        return self.shifts[self.edge_index[(i, j)]]
-
     def aligned_values(self, mapping, name):
         """An ``{(i, j): value}`` mapping as floats aligned with ``directed_edges``;
         ValueError names a missing edge or a non-edge key, calling the values ``name``."""
@@ -311,6 +312,23 @@ class TorusTriangulation:
         values = np.empty(len(covered))
         values[ids] = list(mapping.values())
         return values
+
+
+def _integral(values, name):
+    """``values`` as an array for an int64 cast. A value that is not a
+    number is a TypeError, and MeshError names the first float that is
+    not an integer; whole floats, and ints that NumPy read as floats
+    because they do not all fit one integer type, come back as Python
+    objects, so the cast checks their range."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iufO":
+        raise TypeError(f"a {name} is not a number")
+    if array.dtype.kind == "f":
+        bad = ~np.isfinite(array) | (array != np.trunc(array))
+        if bad.any():
+            raise MeshError(f"{name} {array.ravel()[np.argmax(bad)].item()!r} is not an integer")
+        array = np.array(values, dtype=object)
+    return array
 
 
 def build_mesh(faces, shifts=None, vertex_count=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFaceError, DegenerateVertexError
+from .errors import DegenerateVertexError
 from .geometry import edge_vectors
 
 ZERO_TOL = 1e-13
@@ -41,11 +41,6 @@ def one_form_from_values(mesh, values):
     return DiscreteOneForm(values)
 
 
-def one_form_from_dict(mesh, mapping):
-    """One-form from an ``{(i, j): value}`` mapping over every directed edge."""
-    return one_form_from_values(mesh, mesh.aligned_values(mapping, "one-form value"))
-
-
 def direction_form(mesh, placement, direction):
     """One-form from projecting lifted edge vectors onto a direction."""
     direction = np.asarray(direction, dtype=float)
@@ -67,33 +62,6 @@ def _sign_changes(values, offsets):
     following[ends - 1] = ends - counts[counts > 0]
     changes = np.bincount(segment, positive != positive[following], len(counts))
     return np.where(counts > 0, changes, -1).astype(int)
-
-
-def sign_changes_vertex(mesh, form, v):
-    """Cyclic sign changes of the form on outgoing edges at v."""
-    lo, hi = mesh.rotation_offsets[v:v + 2]
-    sc = int(_sign_changes(form.values[mesh.rotation_edges[lo:hi]], [0, hi - lo])[0])
-    if sc < 0:
-        raise DegenerateVertexError(f"form vanishes on every edge at vertex {v}")
-    return sc
-
-
-def index_vertex(mesh, form, v):
-    """(2 - sc) / 2 at a vertex; 0 for local injectivity, negative at folds."""
-    return (2 - sign_changes_vertex(mesh, form, v)) / 2
-
-
-def sign_changes_face(mesh, form, face_index):
-    sc = int(_sign_changes(form.values[mesh.face_edges[face_index]], [0, 3])[0])
-    if sc < 0:
-        raise DegenerateFaceError(
-            f"form vanishes on every edge of face {face_index}"
-        )
-    return sc
-
-
-def index_face(mesh, form, face_index):
-    return (2 - sign_changes_face(mesh, form, face_index)) / 2
 
 
 @dataclass(frozen=True)

@@ -103,13 +103,14 @@ def mesh_to_json(mesh):
 
 
 def mesh_from_json(doc):
-    """Rebuild a mesh; duplicate shift rows for one directed edge are rejected."""
+    """Rebuild a mesh; duplicate shift rows for one directed edge are rejected,
+    and so is a value that is not an integer."""
     shifts = {}
     for i, j, bx, by in doc.get("shifts", []):
-        key = (int(i), int(j))
+        key = (i, j)
         if key in shifts:
             raise ShiftConflictError(f"duplicate shift entry for edge {key}")
-        shifts[key] = (int(bx), int(by))
+        shifts[key] = (bx, by)
     return build_mesh(doc["faces"], shifts, vertex_count=doc.get("vertex_count"))
 
 

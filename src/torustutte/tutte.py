@@ -31,10 +31,12 @@ without it), so its transpose stays column diagonally dominant under
 symmetric permutation and elimination: diagonal pivots are safe, and a
 minimum degree ordering of the symmetric pattern replaces a column one.
 
-A solve runs in two phases. ``_factor`` assembles the matrix on a CSC
-pattern that depends on the mesh alone, factors it, and returns pi, the
-drift and the energy. ``_finish`` solves for the coordinates and builds
-the residual report, with the edge projections the flow needs.
+A solve runs in two phases. ``_factor`` assembles A[1:, 1:]^T and b
+with ``_assemble`` on the CSC pattern ``_pattern(mesh)``, which depends
+on the mesh alone, factors it, and returns pi, the drift and the energy;
+no entry point hands out the full matrix A. ``_finish`` solves for the
+coordinates and builds the residual report, with the edge projections
+the flow needs.
 ``_solve`` runs both, so every public entry point sees one solve; the
 retraction flow keeps one pattern per run and finishes only the trial
 steps it accepts, since a rejected trial needs nothing past its energy.
@@ -71,12 +73,6 @@ class WeightAssignment:
 
     values: np.ndarray
 
-    def to_dict(self, mesh):
-        return {
-            (i, j): w
-            for (i, j), w in zip(mesh.directed_edges.tolist(), self.values.tolist())
-        }
-
 
 def _validated_values(mesh, weights):
     values = np.asarray(weights.values, dtype=float)
@@ -98,14 +94,6 @@ def weights_from_dict(mesh, mapping):
     wa = WeightAssignment(mesh.aligned_values(mapping, "weight"))
     _validated_values(mesh, wa)
     return wa
-
-
-@dataclass(frozen=True)
-class BalanceSystem:
-    """Matrix A and right-hand side b of the balance equations."""
-
-    matrix: object
-    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,13 +128,13 @@ class ResidualReport:
 
 
 class _Pattern(NamedTuple):
-    """Sparsity pattern of A(w)^T without the vertices below ``first``.
+    """Sparsity pattern of A[1:, 1:](w)^T.
 
-    ``keep`` masks the directed edges that stay, ``slot`` is where their
-    weights go in the CSC data and ``at`` where the column diagonals go.
+    ``keep`` masks the directed edges away from vertex 0, ``slot`` is
+    where their weights go in the CSC data and ``at`` where the column
+    diagonals go.
     """
 
-    first: int
     keep: np.ndarray
     slot: np.ndarray
     at: np.ndarray
@@ -154,8 +142,8 @@ class _Pattern(NamedTuple):
     indptr: np.ndarray
 
 
-def _pattern(mesh, first):
-    """CSC pattern of A(w)^T without the vertices below ``first``.
+def _pattern(mesh):
+    """CSC pattern of A[1:, 1:](w)^T.
 
     The sorted directed edges are A's off-diagonal entries in row-major
     order, so A^T's in column-major order; each column only gains its
@@ -163,8 +151,8 @@ def _pattern(mesh, first):
     weight vector.
     """
     src, dst = mesh.directed_edges.T
-    keep = (src >= first) & (dst >= first)
-    src, dst, n = src[keep] - first, dst[keep] - first, mesh.vertex_count - first
+    keep = (src > 0) & (dst > 0)
+    src, dst, n = src[keep] - 1, dst[keep] - 1, mesh.vertex_count - 1
     upper = dst > src
     # an edge moves past one diagonal per earlier column, and past its own if above it
     slot = np.arange(len(src)) + src + upper
@@ -172,28 +160,21 @@ def _pattern(mesh, first):
     at = indptr[:-1] + np.bincount(src[~upper], minlength=n)
     indices = np.empty(indptr[-1], dtype=np.int32)
     indices[slot], indices[at] = dst, np.arange(n)
-    return _Pattern(first, keep, slot, at, indices, indptr)
+    return _Pattern(keep, slot, at, indices, indptr)
 
 
 def _assemble(mesh, values, pattern):
-    """CSC arrays of A(w)^T on ``pattern``, and b(w).
+    """CSC arrays of A[1:, 1:](w)^T on ``pattern``, and b(w).
 
-    Each diagonal -sum_j w_ij keeps the weights of masked edges.
+    Each diagonal -sum_j w_ij keeps the weights of the edges to vertex 0.
     """
     src = mesh.directed_edges[:, 0]
     total = mesh.vertex_count
     rhs = np.column_stack([np.bincount(src, -values * s, minlength=total) for s in mesh.shifts.T])
     data = np.empty(len(pattern.indices))
     data[pattern.slot] = values[pattern.keep]
-    data[pattern.at] = -np.bincount(src, values, minlength=total)[pattern.first:]
+    data[pattern.at] = -np.bincount(src, values, minlength=total)[1:]
     return (data, pattern.indices, pattern.indptr), rhs
-
-
-def assemble_system(mesh, weights):
-    """Assemble A(w) as a sparse CSC matrix and b(w) as an (n, 2) array."""
-    arrays, rhs = _assemble(mesh, _validated_values(mesh, weights), _pattern(mesh, 0))
-    # the CSC arrays of A^T, read row-major, are A
-    return BalanceSystem(matrix=scipy.sparse.csr_matrix(arrays).tocsc(), rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -213,7 +194,7 @@ def _factor(mesh, values, pattern):
 
     That is the matrix the sorted edge table gives, so a plain solve
     gives the stationary vector pi with pi_0 = 1, and the closed form
-    gives the energy from d = pi^T b. ``pattern`` is ``_pattern(mesh, 1)``.
+    gives the energy from d = pi^T b. ``pattern`` is ``_pattern(mesh)``.
     Nonfinite values pass through: the caller decides what they mean.
     """
     arrays, rhs = _assemble(mesh, values, pattern)
@@ -274,7 +255,7 @@ def _solve(mesh, weights):
     the solve is not finite.
     """
     values = _validated_values(mesh, weights)
-    return _finish(mesh, _factor(mesh, values, _pattern(mesh, 1)))
+    return _finish(mesh, _factor(mesh, values, _pattern(mesh)))
 
 
 def solve_balance(mesh, weights):
@@ -286,10 +267,6 @@ def solve_balance(mesh, weights):
 def balance_energy(mesh, weights):
     """Minimum of ||A x - b||_F^2 over placements with vertex 0 pinned."""
     return _solve(mesh, weights)[1].energy
-
-
-def is_admissible(mesh, weights):
-    return _solve(mesh, weights)[1].zero_residual
 
 
 def residual_structure(mesh, weights):

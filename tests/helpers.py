@@ -15,11 +15,10 @@ import scipy.sparse.linalg
 
 from torustutte import (
     Placement,
-    WeightAssignment,
-    assemble_system,
     build_mesh,
     edge_vectors,
     face_signed_areas,
+    residual_structure,
 )
 from torustutte.errors import (
     BadFaceError,
@@ -32,6 +31,7 @@ from torustutte.errors import (
     NonManifoldVertexError,
     ShiftConflictError,
 )
+from torustutte.flow import _velocity
 from torustutte.render import _clip_polygon
 
 
@@ -464,14 +464,25 @@ def oracle_colamd_solve(mesh, values):
     factors A[1:, 1:]^T in a symmetric ordering with diagonal pivots.
     Returns (coords, pi, drift, energy).
     """
-    system = assemble_system(mesh, WeightAssignment(values))
-    matrix, rhs = system.matrix, system.rhs
+    matrix, rhs = oracle_assemble(mesh, values)
+    matrix = scipy.sparse.csc_matrix(matrix)
     lu = scipy.sparse.linalg.splu(matrix[1:, 1:])
     pi = np.concatenate([[1.0], lu.solve(-matrix[0, 1:].toarray().ravel(), trans="T")])
     drift = pi @ rhs
     pi_sq = float(pi @ pi)
     free = lu.solve(rhs[1:] - np.outer(pi[1:], drift / pi_sq))
     return np.vstack([np.zeros((1, 2)), free]), pi, drift, float(drift @ drift) / pi_sq
+
+
+def flow_velocity(mesh, weights):
+    """dw/dt of the retraction flow at non-admissible weights, from the
+    edge projections of their residual report."""
+    return _velocity(mesh, weights.values, residual_structure(mesh, weights).projections)
+
+
+def edge_mapping(mesh, values):
+    """``{(i, j): value}`` over every directed edge, values aligned with directed_edges."""
+    return dict(zip(map(tuple, mesh.directed_edges.tolist()), np.asarray(values).tolist()))
 
 
 def oracle_left_null(matrix):

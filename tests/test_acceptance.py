@@ -19,7 +19,6 @@ from torustutte import (
     WeightAssignment,
     balance_energy,
     flow_constants,
-    flow_velocity,
     gen_grid,
     gen_k7,
     generic_direction_form,
@@ -141,7 +140,7 @@ def run_all():
                 continue
             weights = WeightAssignment(sample.weights)
             report = residual_structure(mesh3, weights)
-            theta = flow_velocity(mesh3, weights)
+            theta = helpers.flow_velocity(mesh3, weights)
             constants = flow_constants(mesh3, weights)
             bound = -constants.loop_gap * constants.min_weight / (
                 2.0 * constants.asym_bound

@@ -264,6 +264,20 @@ def test_index_command(workspace, tmp_path, capsys):
     assert len(doc["degenerate_edges"]) == 9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_index_nonfinite_direction_exit_code(workspace, tmp_path, capsys, angle):
+    """A nonfinite angle is an input error, raised before the placement is read."""
+    _, _, paths = workspace
+    code, out = run(capsys, [
+        "index", "--mesh", paths["mesh"], "--placement", tmp_path / "missing.json",
+        f"--direction={angle}",
+    ])
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: --direction must be a finite angle in radians, got {angle}\n"
+
+
 def test_render_command(workspace, tmp_path, capsys):
     _, _, paths = workspace
     place = tmp_path / "p.json"
@@ -313,6 +327,32 @@ def test_validate_huge_shift_exit_code(workspace, tmp_path, capsys):
     code, out = run(capsys, ["validate", "--mesh", bad])
     assert code == 2
     assert f"shift ({doc['shifts'][0][2]}, {2**70}) of edge" in out.err
+
+
+def _set(doc, key, row, column, value):
+    doc[key][row][column] = value
+
+
+NON_INTEGERS = {
+    "shift": (lambda doc: _set(doc, "shifts", 0, 2, -1.5), "shift entry -1.5"),
+    "vertex id": (lambda doc: _set(doc, "faces", 0, 0, 0.9), "vertex id 0.9"),
+    "vertex count": (lambda doc: doc.update(vertex_count=16.7), "vertex_count 16.7"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGERS))
+def test_validate_non_integer_exit_code(tmp_path, capsys, case):
+    """A fraction where the format holds an integer is named, not truncated."""
+    doc = mesh_to_json(gen_grid(4)[0])
+    assert doc["shifts"][0][2] == -1 and doc["faces"][0][0] == 0
+    change, named = NON_INTEGERS[case]
+    change(doc)
+    bad = tmp_path / "bad.json"
+    dump_json(doc, bad)
+    code, out = run(capsys, ["validate", "--mesh", bad])
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: {named} is not an integer\n"
 
 
 def test_validate_regauged_mesh(tmp_path, capsys):

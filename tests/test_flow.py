@@ -15,9 +15,7 @@ from torustutte import (
     balance_energy,
     build_mesh,
     flow_constants,
-    flow_velocity,
     gen_grid,
-    is_admissible,
     loop_gap,
     projection_gate,
     residual_structure,
@@ -25,7 +23,7 @@ from torustutte import (
     tutte_map,
     uniform_weights,
 )
-from torustutte.errors import AdmissibleInputError, NonFiniteStateError
+from torustutte.errors import NonFiniteStateError
 from torustutte.flow import _energy_slope, _retract
 
 GRID3_GAP = 0.23570226039551584  # 1 / (3 sqrt 2)
@@ -137,7 +135,7 @@ def test_velocity_gate_implications(grid3, rng):
         values = helpers.random_directed_weights(mesh, rng, 0.5, 2.0)
         weights = WeightAssignment(values)
         report = residual_structure(mesh, weights)
-        theta = flow_velocity(mesh, weights)
+        theta = helpers.flow_velocity(mesh, weights)
         u = report.projections
         assert (theta >= 0.0).all()
         assert (theta <= values + 1e-15).all()
@@ -155,9 +153,11 @@ def test_velocity_gate_implications(grid3, rng):
 
 
 def test_velocity_rejects_admissible(grid3):
+    """Admissible weights have no residual direction, so no edge projections to drive the field."""
     mesh, _ = grid3
-    with pytest.raises(AdmissibleInputError):
-        flow_velocity(mesh, uniform_weights(mesh))
+    report = residual_structure(mesh, uniform_weights(mesh))
+    assert report.zero_residual
+    assert report.projections is None and report.direction is None
 
 
 def test_projection_lower_bound(grid3, rng):
@@ -175,7 +175,7 @@ def test_dissipation_bound(grid3, rng):
         values = helpers.random_directed_weights(mesh, rng, 0.5, 2.0)
         weights = WeightAssignment(values)
         report = residual_structure(mesh, weights)
-        theta = flow_velocity(mesh, weights)
+        theta = helpers.flow_velocity(mesh, weights)
         constants = flow_constants(mesh, weights)
         dissipation = float(np.dot(report.projections, theta))
         bound = -constants.loop_gap * constants.min_weight / (
@@ -191,7 +191,7 @@ def test_retract_converges(grid3):
     mesh, _ = grid3
     trace = retract(mesh, single_asymmetry(mesh))
     assert trace.status == CONVERGED
-    assert is_admissible(mesh, trace.final_weights)
+    assert residual_structure(mesh, trace.final_weights).zero_residual
     assert trace.samples[-1].energy <= 1e-10
     assert trace.steps == len(trace.samples) - 1
     assert trace.samples[0].t == 0.0
@@ -306,7 +306,7 @@ def test_retract_dissipation_along_trajectory(grid3):
             continue
         weights = WeightAssignment(sample.weights)
         report = residual_structure(mesh, weights)
-        theta = flow_velocity(mesh, weights)
+        theta = helpers.flow_velocity(mesh, weights)
         constants = flow_constants(mesh, weights)
         bound = -constants.loop_gap * constants.min_weight / (
             2.0 * constants.asym_bound
@@ -328,7 +328,7 @@ def test_energy_slope_matches_central_difference(grid6):
     for mesh in (grid6[0], build_mesh(faces, shifts)):
         values = np.random.default_rng(0).uniform(0.5, 2.0, len(mesh.directed_edges))
         weights = WeightAssignment(values)
-        velocity = flow_velocity(mesh, weights)
+        velocity = helpers.flow_velocity(mesh, weights)
         slope = _energy_slope(mesh, residual_structure(mesh, weights), velocity)
         h = 1e-5
         ahead = balance_energy(mesh, WeightAssignment(values + h * velocity))

@@ -6,15 +6,16 @@ import pytest
 import helpers
 from torustutte import (
     Placement,
-    corner_angle,
     edge_vectors,
-    face_signed_area,
     face_signed_areas,
-    lifted_edge_vector,
     verify_embedding,
 )
-from torustutte.errors import DegenerateFaceError
 from torustutte.geometry import _corner_angles
+
+
+def corner_angles(mesh, placement):
+    """Inner angles, (F, 3) in face vertex order, from the whole-mesh kernel."""
+    return _corner_angles(edge_vectors(mesh, placement)[mesh.face_edges])
 
 
 # ---------------------------------------------------------------------------
@@ -54,17 +55,16 @@ def test_size_mismatch_rejected(grid3):
 def test_edge_vectors_grid_values(grid3):
     mesh, placement = grid3
     third = 1.0 / 3.0
+    vecs = edge_vectors(mesh, placement)
+    k = mesh.edge_index
     # interior edge 0 -> 1 goes one step right
-    vec = lifted_edge_vector(mesh, placement, (0, 1))
-    assert np.allclose(vec, [third, 0.0], atol=1e-15)
+    assert np.allclose(vecs[k[(0, 1)]], [third, 0.0], atol=1e-15)
     # seam edge 2 -> 0 wraps and still goes right
-    assert np.array_equal(mesh.shift(2, 0), [1, 0])
-    vec = lifted_edge_vector(mesh, placement, (2, 0))
-    assert np.allclose(vec, [third, 0.0], atol=1e-15)
+    assert np.array_equal(mesh.shifts[k[(2, 0)]], [1, 0])
+    assert np.allclose(vecs[k[(2, 0)]], [third, 0.0], atol=1e-15)
     # diagonal seam edge 8 -> 0 crosses both seams
-    assert np.array_equal(mesh.shift(8, 0), [1, 1])
-    vec = lifted_edge_vector(mesh, placement, (8, 0))
-    assert np.allclose(vec, [third, third], atol=1e-15)
+    assert np.array_equal(mesh.shifts[k[(8, 0)]], [1, 1])
+    assert np.allclose(vecs[k[(8, 0)]], [third, third], atol=1e-15)
 
 
 def test_edge_vectors_antisymmetric(grid4, k7):
@@ -94,7 +94,7 @@ def test_grid_face_areas(grid3):
     areas = face_signed_areas(mesh, placement)
     assert areas.shape == (18,)
     assert np.allclose(areas, 1.0 / 18.0, atol=1e-15)
-    assert face_signed_area(mesh, placement, 0) == pytest.approx(1 / 18, abs=1e-15)
+    assert areas[0] == pytest.approx(1 / 18, abs=1e-15)
 
 
 def test_areas_match_shoelace_oracle(grid3, bumpy4, k7):
@@ -124,40 +124,19 @@ def test_grid_corner_angles(grid3):
     face_index = next(
         fi for fi, f in enumerate(mesh.faces) if tuple(f) == (0, 1, 4)
     )
-    assert corner_angle(mesh, placement, face_index, 0) == pytest.approx(math.pi / 4)
-    assert corner_angle(mesh, placement, face_index, 1) == pytest.approx(math.pi / 2)
-    assert corner_angle(mesh, placement, face_index, 4) == pytest.approx(math.pi / 4)
+    # corners in face vertex order: at 0, at 1, at 4
+    angles = corner_angles(mesh, placement)[face_index]
+    assert angles == pytest.approx([math.pi / 4, math.pi / 2, math.pi / 4])
 
 
 def test_face_angle_sums(bumpy4):
     mesh, placement = bumpy4
-    for fi in range(len(mesh.faces)):
-        total = sum(
-            corner_angle(mesh, placement, fi, v) for v in mesh.faces[fi]
-        )
-        assert total == pytest.approx(math.pi, abs=1e-12)
-
-
-def test_scalar_helpers_match_whole_mesh_kernels(bumpy4, k7):
-    """One face's area and angles are bitwise the whole-mesh values."""
-    for mesh, placement in (bumpy4, k7):
-        areas = face_signed_areas(mesh, placement)
-        angles = _corner_angles(edge_vectors(mesh, placement)[mesh.face_edges])
-        for fi, face in enumerate(mesh.faces):
-            assert face_signed_area(mesh, placement, fi) == areas[fi]
-            for c, v in enumerate(face):
-                assert corner_angle(mesh, placement, fi, v) == angles[fi, c]
-
-
-def test_corner_angle_rejects_non_corner(grid3):
-    mesh, placement = grid3
-    face = tuple(mesh.faces[0])
-    outsider = next(v for v in range(9) if v not in face)
-    with pytest.raises(ValueError):
-        corner_angle(mesh, placement, 0, outsider)
+    totals = corner_angles(mesh, placement).sum(axis=1)
+    assert np.allclose(totals, math.pi, atol=1e-12, rtol=0)
 
 
 def test_degenerate_face_rejected(grid3):
+    """A face squashed to zero area fails the embedding certificate."""
     mesh, placement = grid3
     coords = placement.coords.copy()
     face_index = next(
@@ -165,9 +144,10 @@ def test_degenerate_face_rejected(grid3):
     )
     coords[4] = [2.0 / 3.0, 0.0]  # collinear with 0 and 1
     squashed = Placement(coords)
-    assert abs(face_signed_area(mesh, squashed, face_index)) < 1e-15
-    with pytest.raises(DegenerateFaceError):
-        corner_angle(mesh, squashed, face_index, 0)
+    assert abs(face_signed_areas(mesh, squashed)[face_index]) < 1e-15
+    report = verify_embedding(mesh, squashed)
+    assert not report.is_embedding
+    assert report.min_area <= abs(report.face_areas[face_index])
 
 
 # ---------------------------------------------------------------------------

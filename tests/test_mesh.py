@@ -131,7 +131,7 @@ def test_rotation_matches_geometry(grid4):
     for v in range(mesh.vertex_count):
         angles = []
         for u in mesh.rotation[v]:
-            vec = (placement.coords[u] + mesh.shift(v, u)
+            vec = (placement.coords[u] + mesh.shifts[mesh.edge_index[(v, u)]]
                    - placement.coords[v])
             angles.append(float(np.arctan2(vec[1], vec[0])))
         pivot = angles.index(min(angles))
@@ -303,7 +303,7 @@ def assert_valid_loop(mesh, loop, target):
     for a, b in zip(loop, loop[1:] + loop[:1]):
         assert (a, b) in mesh.edge_index
     total = sum(
-        (mesh.shift(a, b) for a, b in zip(loop, loop[1:] + loop[:1])),
+        (mesh.shifts[mesh.edge_index[(a, b)]] for a, b in zip(loop, loop[1:] + loop[:1])),
         start=np.zeros(2, dtype=int),
     )
     assert tuple(int(x) for x in total) == target
@@ -585,6 +585,36 @@ def test_vertex_id_outside_int64_names_its_face(grid3, vertex):
     faces[4] = (faces[4][0], faces[4][1], vertex)
     with pytest.raises(BadFaceError, match=rf"^face \({faces[4][0]}, {faces[4][1]}, {vertex}\) has a"):
         build_mesh(faces)
+
+
+def test_whole_floats_read_as_integers_and_fractions_rejected(grid3):
+    """Integral floats build the same mesh; the first fraction is named, not truncated."""
+    mesh, _ = grid3
+    faces = mesh.faces.tolist()
+    shifts = helpers.canonical_shift_dict(mesh)
+    rebuilt = build_mesh(
+        [[float(v) for v in f] for f in faces],
+        {(float(i), j): (float(bx), by) for (i, j), (bx, by) in shifts.items()},
+        vertex_count=9.0,
+    )
+    for table in ("faces", "shifts", "directed_edges"):
+        assert np.array_equal(getattr(rebuilt, table), getattr(mesh, table)), table
+    assert rebuilt.vertex_count == 9 and type(rebuilt.vertex_count) is int
+    bad = [list(f) for f in faces]
+    bad[2][1], bad[5][0] = 2.5, 0.25
+    with pytest.raises(MeshError, match=r"^vertex id 2.5 is not an integer$"):
+        build_mesh(bad, shifts)
+    bad[2][1] = float("nan")
+    with pytest.raises(MeshError, match=r"^vertex id nan is not an integer$"):
+        build_mesh(bad, shifts)
+    with pytest.raises(MeshError, match=r"^shift entry 0.5 is not an integer$"):
+        build_mesh(faces, {**shifts, (0, 1): (0.5, 0)})
+    with pytest.raises(MeshError, match=r"^vertex_count inf is not an integer$"):
+        build_mesh(faces, shifts, vertex_count=float("inf"))
+    with pytest.raises(TypeError, match=r"^a vertex id is not a number$"):
+        build_mesh([[str(v) for v in f] for f in faces], shifts)
+    with pytest.raises(TypeError, match=r"^a shift entry is not a number$"):
+        build_mesh(faces, {(0, 1): ("1", "0")})
 
 
 def test_edge_index_view(grid4, k7):

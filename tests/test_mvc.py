@@ -10,8 +10,8 @@ from torustutte import (
     build_mesh,
     check_balanced,
     gen_grid,
-    is_admissible,
     mean_value_weights,
+    residual_structure,
     tutte_map,
 )
 from torustutte.errors import NotEmbeddedError
@@ -60,7 +60,7 @@ def test_weights_balance_their_placement(grid3, bumpy3, bumpy4, k7):
 def test_weights_admissible(bumpy4, k7):
     for mesh, placement in (bumpy4, k7):
         weights = mean_value_weights(mesh, placement)
-        assert is_admissible(mesh, weights)
+        assert residual_structure(mesh, weights).zero_residual
 
 
 def test_section_property(grid3, bumpy3, bumpy4, k7):

@@ -9,15 +9,10 @@ from torustutte import (
     Placement,
     direction_form,
     generic_direction_form,
-    index_face,
     index_theorem_check,
-    index_vertex,
-    one_form_from_dict,
     one_form_from_values,
-    sign_changes_face,
-    sign_changes_vertex,
 )
-from torustutte.errors import DegenerateFaceError, DegenerateVertexError
+from torustutte.errors import DegenerateVertexError
 
 
 def antisymmetric_fill(mesh, base=0.5):
@@ -73,60 +68,55 @@ def test_from_dict_round_trip(grid3):
     mesh, _ = grid3
     values = antisymmetric_fill(mesh, base=0.75)
     form = one_form_from_values(mesh, values)
-    mapping = {
-        (int(i), int(j)): float(v)
-        for (i, j), v in zip(mesh.directed_edges, values)
-    }
-    rebuilt = one_form_from_dict(mesh, mapping)
+    mapping = helpers.edge_mapping(mesh, values)
+    rebuilt = one_form_from_values(mesh, mesh.aligned_values(mapping, "one-form value"))
     assert np.array_equal(rebuilt.values, form.values)
 
 
 def test_from_dict_rejects_non_edges_and_gaps(grid3):
     mesh, _ = grid3
-    mapping = {
-        (int(i), int(j)): float(v)
-        for (i, j), v in zip(mesh.directed_edges, antisymmetric_fill(mesh))
-    }
+    mapping = helpers.edge_mapping(mesh, antisymmetric_fill(mesh))
     with pytest.raises(ValueError, match=r"one-form value given for non-edge \(0, 99\)$"):
-        one_form_from_dict(mesh, {**mapping, (0, 99): 1.0})
+        mesh.aligned_values({**mapping, (0, 99): 1.0}, "one-form value")
     del mapping[(1, 0)]
     with pytest.raises(ValueError, match=r"missing one-form value for directed edge \(1, 0\)$"):
-        one_form_from_dict(mesh, mapping)
+        mesh.aligned_values(mapping, "one-form value")
 
 
 # ---------------------------------------------------------------------------
 # Sign changes and indices
 
+# The index of a cell with sc cyclic sign changes is (2 - sc) / 2.
+
 def test_vertex_sign_patterns(k7):
     mesh, _ = k7
     form = with_vertex_pattern(mesh, 0, [1, 1, 1, -1, -1, -1])
-    assert sign_changes_vertex(mesh, form, 0) == 2
-    assert index_vertex(mesh, form, 0) == 0
+    assert index_theorem_check(mesh, form).vertex_indices[0] == 0  # sc = 2
 
     form = with_vertex_pattern(mesh, 0, [1, -1, 1, -1, 1, -1])
-    assert sign_changes_vertex(mesh, form, 0) == 6
-    assert index_vertex(mesh, form, 0) == -2
+    assert index_theorem_check(mesh, form).vertex_indices[0] == -2  # sc = 6
 
     form = with_vertex_pattern(mesh, 0, [1, 1, -1, -1, 1, -1])
-    assert sign_changes_vertex(mesh, form, 0) == 4
-    assert index_vertex(mesh, form, 0) == -1
+    assert index_theorem_check(mesh, form).vertex_indices[0] == -1  # sc = 4
 
 
 def test_vertex_zeros_are_skipped(k7):
     mesh, _ = k7
     form = with_vertex_pattern(mesh, 0, [1, 0, -1, 0, 1, -1])
     # nonzero cycle (+, -, +, -) has four alternations
-    assert sign_changes_vertex(mesh, form, 0) == 4
-    assert index_vertex(mesh, form, 0) == -1
+    report = index_theorem_check(mesh, form)
+    assert report.vertex_indices[0] == -1
+    assert report.degenerate_vertices == []
 
 
 def test_degenerate_vertex_rejected(k7):
+    """A vertex whose values all vanish has no index."""
     mesh, _ = k7
     form = with_vertex_pattern(mesh, 0, [0, 0, 0, 0, 0, 0])
-    with pytest.raises(DegenerateVertexError):
-        sign_changes_vertex(mesh, form, 0)
-    with pytest.raises(DegenerateVertexError):
-        index_vertex(mesh, form, 0)
+    report = index_theorem_check(mesh, form)
+    assert report.vertex_indices[0] is None
+    assert report.degenerate_vertices == [0]
+    assert not report.nonvanishing
 
 
 def face_form(mesh, face_index, triple):
@@ -141,21 +131,20 @@ def face_form(mesh, face_index, triple):
 def test_face_sign_patterns(grid3):
     mesh, _ = grid3
     form = face_form(mesh, 0, [0.2, -0.1, -0.1])
-    assert sign_changes_face(mesh, form, 0) == 2
-    assert index_face(mesh, form, 0) == 0
+    assert index_theorem_check(mesh, form).face_indices[0] == 0  # sc = 2
     # a boundary with one sign has no alternations: index 1 (a source)
     form = face_form(mesh, 0, [0.2, 0.1, 0.3])
-    assert sign_changes_face(mesh, form, 0) == 0
-    assert index_face(mesh, form, 0) == 1
+    assert index_theorem_check(mesh, form).face_indices[0] == 1  # sc = 0
 
 
 def test_degenerate_face_rejected(grid3):
+    """A face whose boundary values all vanish has no index."""
     mesh, _ = grid3
     form = face_form(mesh, 0, [0.0, 0.0, 0.0])
-    with pytest.raises(DegenerateFaceError):
-        sign_changes_face(mesh, form, 0)
-    with pytest.raises(DegenerateFaceError):
-        index_face(mesh, form, 0)
+    report = index_theorem_check(mesh, form)
+    assert report.face_indices[0] is None
+    assert report.degenerate_faces == [0]
+    assert not report.nonvanishing
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +223,13 @@ def test_generic_direction_retries_deterministically(grid4):
     assert np.array_equal(again[0].values, form.values)
 
 
+def test_generic_direction_form_raises_when_an_edge_has_no_length(grid3):
+    """A zero lifted edge vanishes on every direction of the ladder."""
+    mesh, _ = grid3
+    with pytest.raises(DegenerateVertexError, match="no nonvanishing direction found after 64 tries"):
+        generic_direction_form(mesh, Placement(np.zeros((9, 2))))
+
+
 @pytest.mark.parametrize("fixture", ["grid4", "k7"])
 def test_indices_match_cell_by_cell_oracle(fixture, request):
     """Segmented sign-change counts agree with a per-cell count, zeros included."""
@@ -253,15 +249,3 @@ def test_indices_match_cell_by_cell_oracle(fixture, request):
         assert report.degenerate_faces == [f for f, x in enumerate(face) if x is None]
         defined = [x for x in vertex + face if x is not None]
         assert report.total == sum(defined)
-        for v, expected in enumerate(vertex):
-            if expected is None:
-                with pytest.raises(DegenerateVertexError):
-                    index_vertex(mesh, form, v)
-            else:
-                assert index_vertex(mesh, form, v) == expected
-        for f, expected in enumerate(face):
-            if expected is None:
-                with pytest.raises(DegenerateFaceError):
-                    index_face(mesh, form, f)
-            else:
-                assert index_face(mesh, form, f) == expected

@@ -2,19 +2,17 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import helpers
 import torustutte.tutte
 from torustutte import (
     ALREADY_ADMISSIBLE,
     WeightAssignment,
-    assemble_system,
     balance_energy,
     build_mesh,
-    flow_velocity,
     gen_grid,
     gen_k7,
-    is_admissible,
     loop_gap,
     mean_value_weights,
     morph,
@@ -29,12 +27,12 @@ from torustutte import (
 )
 from torustutte.cli import main
 from torustutte.errors import (
-    AdmissibleInputError,
     NonPositiveWeightError,
     NotAdmissibleError,
     SingularSystemError,
 )
 from torustutte.serialize import dump_json, mesh_to_json, weights_to_json
+from torustutte.tutte import _assemble, _pattern
 
 
 def single_asymmetry(mesh, edge=(0, 1), value=5.0):
@@ -59,13 +57,13 @@ def test_uniform_weights(grid3):
 def test_weights_dict_round_trip(grid3, rng):
     mesh, _ = grid3
     w = WeightAssignment(helpers.random_directed_weights(mesh, rng, 0.5, 2.0))
-    rebuilt = weights_from_dict(mesh, w.to_dict(mesh))
+    rebuilt = weights_from_dict(mesh, helpers.edge_mapping(mesh, w.values))
     assert np.array_equal(rebuilt.values, w.values)
 
 
 def test_weights_from_dict_rejects_missing_and_extra(grid3):
     mesh, _ = grid3
-    full = uniform_weights(mesh).to_dict(mesh)
+    full = helpers.edge_mapping(mesh, uniform_weights(mesh).values)
     partial = dict(full)
     partial.pop((0, 1))
     with pytest.raises(ValueError, match="missing"):
@@ -79,7 +77,7 @@ def test_weights_from_dict_rejects_missing_and_extra(grid3):
 def test_weights_from_dict_names_first_missing_and_extra(grid3):
     """Missing edges are named in directed_edges order, extras in mapping order."""
     mesh, _ = grid3
-    full = uniform_weights(mesh).to_dict(mesh)
+    full = helpers.edge_mapping(mesh, uniform_weights(mesh).values)
     partial = {e: w for e, w in full.items() if e not in ((4, 0), (1, 0), (8, 7))}
     with pytest.raises(ValueError, match=r"missing weight for directed edge \(1, 0\)$"):
         weights_from_dict(mesh, partial)
@@ -100,28 +98,33 @@ def test_nonpositive_weights_rejected(grid3):
     values = np.ones(54)
     values[3] = 0.0
     with pytest.raises(NonPositiveWeightError):
-        assemble_system(mesh, WeightAssignment(values))
+        solve_balance(mesh, WeightAssignment(values))
     values[3] = np.nan
     with pytest.raises(NonPositiveWeightError):
-        assemble_system(mesh, WeightAssignment(values))
+        solve_balance(mesh, WeightAssignment(values))
     with pytest.raises(ValueError):
-        assemble_system(mesh, WeightAssignment(np.ones(10)))
+        solve_balance(mesh, WeightAssignment(np.ones(10)))
 
 
 # ---------------------------------------------------------------------------
 # Assembly
 
+def assembled(mesh, values):
+    """A[1:, 1:] as a dense array and the full b, from the production CSC arrays of its transpose."""
+    arrays, rhs = _assemble(mesh, np.asarray(values, dtype=float), _pattern(mesh))
+    return scipy.sparse.csc_matrix(arrays).toarray().T, rhs
+
+
 def test_assembly_uniform_grid(grid3):
     mesh, placement = grid3
-    system = assemble_system(mesh, uniform_weights(mesh))
-    matrix, rhs = system.matrix.toarray(), system.rhs
-    assert matrix.shape == (9, 9)
+    matrix, rhs = assembled(mesh, np.ones(54))
+    assert matrix.shape == (8, 8)
     assert np.allclose(np.diag(matrix), -6.0, atol=0)
-    for i in range(9):
-        for j in range(9):
+    for i in range(1, 9):
+        for j in range(1, 9):
             if i != j:
                 expected = 1.0 if (i, j) in mesh.edge_index else 0.0
-                assert matrix[i, j] == expected
+                assert matrix[i - 1, j - 1] == expected
     # rows of b collect -sum w_ij b_ij; nonzero exactly at seam vertices
     oracle_matrix, oracle_rhs = helpers.oracle_assemble(
         mesh, np.ones(54)
@@ -129,24 +132,30 @@ def test_assembly_uniform_grid(grid3):
     assert np.allclose(rhs, oracle_rhs, atol=0)
     assert np.array_equal(rhs[0], [2.0, 2.0])  # corner vertex shifts
     assert np.allclose(rhs.sum(axis=0), 0.0, atol=0)  # antisymmetry
-    # the grid placement satisfies the system exactly
-    assert np.allclose(matrix @ placement.coords, rhs, atol=1e-12)
+    # the grid placement, vertex 0 at the origin, satisfies the system exactly
+    assert placement.anchored
+    assert np.allclose(matrix @ placement.coords[1:], rhs[1:], atol=1e-12)
 
 
 def test_assembly_row_sums_zero(grid4, rng):
+    """A has zero row sums, so a row of A[1:, 1:] sums to minus the weight of its edge to 0."""
     mesh, _ = grid4
     values = helpers.random_directed_weights(mesh, rng, 0.1, 10.0)
-    system = assemble_system(mesh, WeightAssignment(values))
-    assert np.allclose(system.matrix.sum(axis=1), 0.0, atol=1e-12)
+    matrix, _ = assembled(mesh, values)
+    to_zero = np.zeros(mesh.vertex_count)
+    for k, (i, j) in enumerate(mesh.directed_edges.tolist()):
+        if j == 0:
+            to_zero[i] = values[k]
+    assert np.allclose(matrix.sum(axis=1), -to_zero[1:], atol=1e-12)
 
 
 def test_assembly_matches_oracle(grid4, rng):
     mesh, _ = grid4
     values = helpers.random_directed_weights(mesh, rng, 0.1, 10.0)
-    system = assemble_system(mesh, WeightAssignment(values))
+    matrix, rhs = assembled(mesh, values)
     oracle_matrix, oracle_rhs = helpers.oracle_assemble(mesh, values)
-    assert np.allclose(system.matrix.toarray(), oracle_matrix, atol=1e-13)
-    assert np.allclose(system.rhs, oracle_rhs, atol=1e-13)
+    assert np.allclose(matrix, oracle_matrix[1:, 1:], atol=1e-13)
+    assert np.allclose(rhs, oracle_rhs, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +176,7 @@ def test_symmetric_weights_admissible(grid4, rng):
         values = helpers.random_symmetric_weights(mesh, rng, 0.1, 10.0)
         weights = WeightAssignment(values)
         assert balance_energy(mesh, weights) <= 1e-20
-        assert is_admissible(mesh, weights)
+        assert residual_structure(mesh, weights).zero_residual
         # independent certificate: A is symmetric, its left null vector
         # is constant, and b sums to zero by shift antisymmetry
         matrix, rhs = helpers.oracle_assemble(mesh, values)
@@ -208,7 +217,7 @@ def test_left_null_vector_detects_admissibility(grid3, rng):
         assert (pi > 0).all()  # positive left null vector of A
         mismatch = np.abs(pi @ rhs).max()
         weights = WeightAssignment(values)
-        assert is_admissible(mesh, weights) == admissible
+        assert residual_structure(mesh, weights).zero_residual == admissible
         if admissible:
             assert mismatch <= 1e-12
         else:
@@ -322,15 +331,6 @@ def test_tutte_map_rejects_non_admissible(grid3):
         tutte_map(mesh, single_asymmetry(mesh))
 
 
-def test_is_admissible_rejects_bad_tol(grid3):
-    """A tolerance passed by position is an extra argument, not a threshold."""
-    mesh, _ = grid3
-    with pytest.raises(TypeError):
-        is_admissible(mesh, uniform_weights(mesh), 0.0)
-    with pytest.raises(TypeError):
-        is_admissible(mesh, uniform_weights(mesh), -1.0)
-
-
 def morph_grid3(mesh, weights, **options):
     """A two-frame morph of the 3x3 grid onto itself; ignores ``weights``."""
     placement = gen_grid(3)[1]
@@ -339,10 +339,8 @@ def morph_grid3(mesh, weights, **options):
 
 TOL_ENTRY_POINTS = {
     "solve_balance": solve_balance,
-    "is_admissible": is_admissible,
     "residual_structure": residual_structure,
     "tutte_map": tutte_map,
-    "flow_velocity": flow_velocity,
     "retract": retract,
     "morph": morph_grid3,
 }
@@ -365,9 +363,9 @@ def test_one_constant_decides_admissibility(grid3, tmp_path, capsys, monkeypatch
     assert 0.07 < energy < 0.08
     monkeypatch.setattr(torustutte.tutte, "ADMISSIBLE_TOL", 0.1)
     assert tutte_map(mesh, weights).anchored
-    assert is_admissible(mesh, weights)
-    with pytest.raises(AdmissibleInputError):
-        flow_velocity(mesh, weights)
+    report = residual_structure(mesh, weights)
+    assert report.zero_residual
+    assert report.projections is None  # the flow has no field to follow
     assert retract(mesh, weights).status == ALREADY_ADMISSIBLE
     paths = tmp_path / "mesh.json", tmp_path / "weights.json"
     dump_json(mesh_to_json(mesh), paths[0])
@@ -418,6 +416,6 @@ def test_sparse_solve_mvc_round_trip():
     mesh, placement = gen_grid(17)
     bumpy = perturb(mesh, placement, 0.3 / 17, seed=3)
     weights = mean_value_weights(mesh, bumpy)
-    assert is_admissible(mesh, weights)
+    assert residual_structure(mesh, weights).zero_residual
     back = tutte_map(mesh, weights)
     assert np.abs(back.coords - bumpy.coords).max() <= 1e-8
