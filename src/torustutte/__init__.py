@@ -17,6 +17,7 @@ from .flow import (
     ALREADY_ADMISSIBLE,
     BUDGET_EXCEEDED,
     CONVERGED,
+    STALLED,
     FlowConstants,
     FlowSample,
     FlowTrace,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 validation failure (bad mesh, non-embedded
 placement, non-admissible weights, malformed input), 3 numerical
-failure (budget exhausted, certificate violation, overflow, out of
-memory).
+failure (step budget spent, stalled flow, certificate violation,
+overflow, out of memory).
 """
 
 import argparse

@@ -75,7 +75,9 @@ class NonFiniteStateError(TorusTutteError):
 
 
 class DegenerateVertexError(TorusTutteError):
-    """Every edge value at a vertex is numerically zero."""
+    """Every direction one-form of a placement has a zero edge value: a
+    lifted edge vector is numerically zero, or every direction tried is
+    perpendicular to some edge."""
 
 
 class RetractFailedError(TorusTutteError):

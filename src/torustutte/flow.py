@@ -22,16 +22,17 @@ derived constants:
 
 Integration is explicit Euler with step acceptance: a step counts only
 if the energy strictly drops and the asymmetry bound does not grow;
-otherwise the step halves and the trial is solved again. After an
-accepted step a ratio test sets the next step (Nocedal & Wright,
-Numerical Optimization, ch. 4): the residual report gives the energy
-gradient in closed form, by the envelope theorem
+otherwise the step halves and the trial is solved again. The residual
+report gives the energy gradient in closed form, by the envelope theorem
 
     dE/dw_ij = 2 sqrt(E) pi_i u_ij / |pi|,
 
-so the drop predicted along the field is -dt * sum_ij v_ij dE/dw_ij at
-no extra solve. The step doubles when the actual drop is more than 3/4
-of the predicted one, halves when it is less than 1/4, and stays
+so the slope s = sum_ij v_ij dE/dw_ij along the field costs no extra
+solve (Nocedal & Wright, Numerical Optimization, ch. 3-4). The first
+trial is dt = E / -s, where the linear model of the energy reaches
+zero, clipped to [DT_MIN, DT_MAX]. After an accepted step a ratio test
+sets the next one: it doubles when the actual drop is more than 3/4 of
+the predicted -dt * s, halves when it is less than 1/4, and stays
 otherwise. A trial solve stops at the energy; only an accepted one goes
 on to the coordinates and the edge projections.
 """
@@ -56,8 +57,9 @@ from .tutte import (
 CONVERGED = "converged"
 BUDGET_EXCEEDED = "budget_exceeded"
 ALREADY_ADMISSIBLE = "already_admissible"
+STALLED = "stalled"
 
-DT_INIT = 0.01
+# bounds of every trial step; the first one comes from the energy slope
 DT_MIN = 1e-8
 DT_MAX = 0.25
 
@@ -184,14 +186,17 @@ def retract(mesh, weights, max_steps=200_000):
     only if all weights stay finite and positive, the balance energy
     strictly decreases, and the asymmetry bound does not grow; on
     rejection the step halves down to ``DT_MIN``. The first step tries
-    ``DT_INIT``; after each accepted step the ratio of the actual to the
-    predicted energy drop doubles the next step (capped at ``DT_MAX``)
-    above 3/4, halves it below 1/4, and keeps it otherwise. Each trial
-    factors the balance system once. Returns a FlowTrace whose samples
-    record every accepted state; status is ``converged``,
-    ``already_admissible``, or ``budget_exceeded`` (best weights found
-    are still returned). A negative or non-integer ``max_steps`` is a
-    ValueError, raised before any solve.
+    E / -s, where the energy's linear model along the initial velocity
+    reaches zero, clipped to [``DT_MIN``, ``DT_MAX``]; after each
+    accepted step the ratio of the actual to the predicted energy drop
+    doubles the next step (capped at ``DT_MAX``) above 3/4, halves it
+    below 1/4, and keeps it otherwise. Each trial factors the balance
+    system once. Returns a FlowTrace whose samples record every accepted
+    state; status is ``converged``, ``already_admissible``,
+    ``budget_exceeded`` (``max_steps`` accepted steps ran out), or
+    ``stalled`` (every trial failed down to ``DT_MIN``); the best
+    weights found are still returned. A negative or non-integer
+    ``max_steps`` is a ValueError, raised before any solve.
     """
     return _retract(mesh, weights, max_steps)[0]
 
@@ -214,11 +219,15 @@ def _retract(mesh, weights, max_steps):
     if report.zero_residual:
         return FlowTrace(samples, ALREADY_ADMISSIBLE), coords
 
-    dt = DT_INIT
+    dt = None
     while len(samples) <= max_steps:  # the initial state plus one per accepted step
         velocity = _velocity(mesh, values, report.projections)
         slope = _energy_slope(mesh, report, velocity)
         asym = _asym_bound(values, rev)
+        if dt is None:  # where the linear model of the energy reaches zero
+            e0 = report.energy
+            # no division unless the slope is negative enough (not zero, positive or nan)
+            dt = DT_MAX if not -slope * DT_MAX > e0 else max(DT_MIN, e0 / -slope)
         while dt >= DT_MIN:
             trial = values + dt * velocity
             if not np.isfinite(trial).all() or (trial <= 0).any():
@@ -235,7 +244,7 @@ def _retract(mesh, weights, max_steps):
                 break
             dt *= 0.5
         else:  # every trial failed before dt fell below DT_MIN
-            break
+            return FlowTrace(samples, STALLED), coords
         drop, predicted = report.energy - factored.energy, -dt * slope
         values = trial
         coords, report = _finish(mesh, factored)

@@ -9,12 +9,13 @@ the placement the retraction solved last, certified once here; it is
 exactly ``tutte_map`` of the retraction's final weights.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotEmbeddedError, RetractFailedError
-from .flow import BUDGET_EXCEEDED, _retract
+from .flow import ALREADY_ADMISSIBLE, CONVERGED, _retract
 from .geometry import Placement, verify_embedding
 from .mvc import mean_value_weights
 from .tutte import WeightAssignment, _certify
@@ -31,12 +32,13 @@ def morph(mesh, start, end, steps, max_steps=200_000):
     """Embedded frames from ``start`` to ``end``, inclusive.
 
     Both placements must be anchored embeddings of the same mesh;
-    ``steps`` counts the frames returned, at least 2. No state carries
-    over between frames, each retraction starts fresh from its
-    interpolated weights.
+    ``steps`` counts the frames returned, an integer of at least 2. No
+    state carries over between frames, each retraction starts fresh from
+    its interpolated weights; one that stops short of admissible weights
+    raises RetractFailedError.
     """
-    if steps < 2:
-        raise ValueError("a morph needs at least 2 frames")
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError(f"a morph needs an integer of at least 2 frames, got {steps!r}")
     for name, p in (("start", start), ("end", end)):
         if not p.anchored:
             raise ValueError(f"{name} placement must have vertex 0 at the origin")
@@ -48,8 +50,8 @@ def morph(mesh, start, end, steps, max_steps=200_000):
     for s in range(steps):
         t = s / (steps - 1)
         trace, coords = _retract(mesh, WeightAssignment((1.0 - t) * w0 + t * w1), max_steps)
-        if trace.status == BUDGET_EXCEEDED:
-            raise RetractFailedError(f"retraction at t={t:.4f} did not converge")
+        if trace.status not in (CONVERGED, ALREADY_ADMISSIBLE):
+            raise RetractFailedError(f"retraction at t={t:.4f} did not converge: {trace.status}")
         frame = Placement(coords)
         _certify(mesh, frame)
         frames.append(frame)

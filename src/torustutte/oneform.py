@@ -113,14 +113,20 @@ def generic_direction_form(mesh, placement, start_angle=0.1):
 
     Tries ``DIRECTION_TRIES`` angles start_angle, start_angle +
     ``DIRECTION_STEP``, ... and returns (form, angle). Deterministic;
-    raises if every try has a zero edge, which only happens for
-    degenerate placements.
+    raises at once, naming the edge, if a lifted edge vector is (near)
+    zero, since it then vanishes on every direction, and after the last
+    try if every one has a zero edge.
     """
+    vectors = edge_vectors(mesh, placement)
+    short = np.flatnonzero(np.hypot(vectors[:, 0], vectors[:, 1]) <= ZERO_TOL)
+    if len(short):
+        i, j = mesh.directed_edges[short[0]].tolist()
+        raise DegenerateVertexError(
+            f"edge ({i}, {j}) has a zero lifted edge vector, so no direction form is nonvanishing"
+        )
     for k in range(DIRECTION_TRIES):
         angle = start_angle + k * DIRECTION_STEP
-        form = direction_form(
-            mesh, placement, np.array([np.cos(angle), np.sin(angle)])
-        )
+        form = DiscreteOneForm(vectors @ np.array([np.cos(angle), np.sin(angle)]))
         if np.abs(form.values).min() > ZERO_TOL:
             return form, angle
     raise DegenerateVertexError(

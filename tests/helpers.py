@@ -714,6 +714,22 @@ def oracle_render_svg(mesh, placement, size=800, labels=False, highlight_flipped
 
 
 # ---------------------------------------------------------------------------
+# Call counts
+
+def counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so that calls to it are counted; returns the counter."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# ---------------------------------------------------------------------------
 # Random weight fields
 
 def random_symmetric_weights(mesh, rng, lo, hi):

@@ -7,7 +7,14 @@ import pytest
 import helpers
 import torustutte.cli
 import torustutte.tutte
-from torustutte import WeightAssignment, gen_grid, perturb, uniform_weights, verify_embedding
+from torustutte import (
+    Placement,
+    WeightAssignment,
+    gen_grid,
+    perturb,
+    uniform_weights,
+    verify_embedding,
+)
 from torustutte.cli import main
 from torustutte.serialize import (
     dump_json,
@@ -190,6 +197,20 @@ def test_retract_budget_exit_code(workspace, tmp_path, capsys):
     assert json.loads(out.out)["status"] == "budget_exceeded"
 
 
+def test_retract_stalled_exit_code(tmp_path, capsys):
+    """Weights scaled by 1e4 stall at the float floor of their energy."""
+    mesh, _ = gen_grid(16)
+    values = np.random.default_rng(0).uniform(0.5, 2.0, len(mesh.directed_edges)) * 1e4
+    paths = {name: tmp_path / f"{name}.json" for name in ("mesh", "weights")}
+    dump_json(mesh_to_json(mesh), paths["mesh"])
+    dump_json(weights_to_json(mesh, WeightAssignment(values)), paths["weights"])
+    code, out = run(capsys, [
+        "retract", "--mesh", paths["mesh"], "--weights", paths["weights"], "--max-steps", 2000,
+    ])
+    assert code == 3
+    assert json.loads(out.out)["status"] == "stalled"
+
+
 @pytest.mark.parametrize("command", ["retract", "morph"])
 def test_negative_step_budget_exit_code(workspace, tmp_path, capsys, command):
     _, placement, paths = workspace
@@ -262,6 +283,17 @@ def test_index_command(workspace, tmp_path, capsys):
     doc = json.loads(out.out)
     assert doc["nonvanishing"] is False
     assert len(doc["degenerate_edges"]) == 9
+
+
+def test_index_zero_length_edge_exit_code(workspace, tmp_path, capsys):
+    """A placement with every vertex at the origin names its first zero edge."""
+    mesh, _, paths = workspace
+    place = tmp_path / "zeros.json"
+    dump_json(placement_to_json(Placement(np.zeros((9, 2)))), place)
+    code, out = run(capsys, ["index", "--mesh", paths["mesh"], "--placement", place])
+    assert code == 2
+    assert out.out == ""
+    assert "edge (0, 1) has a zero lifted edge vector" in out.err
 
 
 @pytest.mark.filterwarnings("error")

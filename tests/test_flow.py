@@ -10,6 +10,7 @@ from torustutte import (
     ALREADY_ADMISSIBLE,
     BUDGET_EXCEEDED,
     CONVERGED,
+    STALLED,
     WeightAssignment,
     asymmetry_gate,
     balance_energy,
@@ -17,6 +18,8 @@ from torustutte import (
     flow_constants,
     gen_grid,
     loop_gap,
+    mean_value_weights,
+    perturb,
     projection_gate,
     residual_structure,
     retract,
@@ -24,7 +27,7 @@ from torustutte import (
     uniform_weights,
 )
 from torustutte.errors import NonFiniteStateError
-from torustutte.flow import _energy_slope, _retract
+from torustutte.flow import DT_MAX, _energy_slope, _retract
 
 GRID3_GAP = 0.23570226039551584  # 1 / (3 sqrt 2)
 
@@ -247,10 +250,23 @@ def test_retract_budget_exceeded(grid3):
     assert trace.samples[-1].energy < trace.samples[0].energy
 
 
+def test_retract_stall_is_not_a_spent_budget():
+    """Weights scaled by 1e4 reach the float floor of their energy, far above
+    the admissible tolerance; every trial then fails down to DT_MIN."""
+    mesh, _ = gen_grid(16)
+    values = np.random.default_rng(0).uniform(0.5, 2.0, len(mesh.directed_edges))
+    trace = retract(mesh, WeightAssignment(values * 1e4), max_steps=2000)
+    assert trace.status == STALLED
+    assert trace.steps < 2000
+    assert trace.samples[-1].energy < trace.samples[0].energy
+    short = retract(mesh, WeightAssignment(values * 1e4), max_steps=2)
+    assert (short.status, short.steps) == (BUDGET_EXCEEDED, 2)
+
+
 @pytest.mark.parametrize("max_steps", [-1, 2.0, 1.5, "3", None])
 def test_retract_rejects_bad_step_budget(grid3, monkeypatch, max_steps):
     mesh, _ = grid3
-    solves = counting(monkeypatch, torustutte.flow, "_factor")
+    solves = helpers.counting(monkeypatch, torustutte.flow, "_factor")
     with pytest.raises(ValueError, match="max_steps must be a nonnegative integer"):
         retract(mesh, single_asymmetry(mesh), max_steps=max_steps)
     assert solves[0] == 0
@@ -337,26 +353,13 @@ def test_energy_slope_matches_central_difference(grid6):
         assert slope == pytest.approx((ahead - behind) / (2 * h), rel=1e-8)
 
 
-def counting(monkeypatch, module, name):
-    """Wrap ``module.name`` so that calls to it are counted; returns the counter."""
-    calls = [0]
-    inner = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 def test_rejected_trials_stop_at_the_energy(monkeypatch):
     """Only accepted states get a coordinate solve and edge projections."""
     mesh, _ = gen_grid(8)
     values = np.random.default_rng(2).uniform(0.5, 2.0, len(mesh.directed_edges))
-    factors = counting(monkeypatch, torustutte.flow, "_factor")
-    finishes = counting(monkeypatch, torustutte.flow, "_finish")
-    projections = counting(monkeypatch, torustutte.tutte, "direction_form")
+    factors = helpers.counting(monkeypatch, torustutte.flow, "_factor")
+    finishes = helpers.counting(monkeypatch, torustutte.flow, "_finish")
+    projections = helpers.counting(monkeypatch, torustutte.tutte, "direction_form")
     trace = retract(mesh, WeightAssignment(values))
     assert trace.status == CONVERGED
     assert factors[0] > finishes[0]  # some trials were rejected
@@ -375,28 +378,49 @@ def test_retract_coordinates_are_the_tutte_map():
 
 
 # (m, weights, seed, status, steps, final energy, final t, balance solves) as
-# recorded under the ratio-test step rule; the solves count the initial one.
-# The doubling rule took 46, 46, 68, 44, 39 and 56 solves on these runs.
-# Another factorization of the same matrix may move last bits, never an
-# accepted step.
+# recorded with the first trial at the linear model's zero and the
+# ratio-test step rule after it; the solves count the initial one. A
+# first trial of 0.01 took 19/27, 20/29, 27/34, 17/24, 18/26 and 23/37
+# steps/solves on these runs, and the doubling rule before the ratio test
+# 46, 46, 68, 44, 39 and 56 solves. Another factorization of the same
+# matrix may move last bits, never an accepted step.
 PINNED_RETRACTIONS = [
-    (8, "uniform", 0, CONVERGED, 19, 6.093080043884434e-12, 0.11195800781250001, 27),
-    (8, "log-uniform", 1, CONVERGED, 20, 4.9128027123470065e-11, 1.5919671630859376, 29),
-    (8, "log-uniform", 2, CONVERGED, 27, 9.164332344897644e-11, 1.89697509765625, 34),
-    (12, "uniform", 0, CONVERGED, 17, 8.948030496176317e-11, 0.150146484375, 24),
-    (12, "log-uniform", 1, CONVERGED, 18, 1.5995146074279316e-11, 1.1790185546875, 26),
-    (12, "log-uniform", 2, CONVERGED, 23, 2.8619216808336944e-11, 1.0259423828125, 37),
+    (8, "uniform", 0, CONVERGED, 16, 9.833348796697639e-11, 0.10898929299810375, 25),
+    (8, "log-uniform", 1, CONVERGED, 17, 2.572752230103272e-11, 1.617279052734375, 28),
+    (8, "log-uniform", 2, CONVERGED, 23, 4.085941720216177e-11, 2.03790283203125, 30),
+    (12, "uniform", 0, CONVERGED, 16, 4.593237675788362e-11, 0.1308277889743926, 24),
+    (12, "log-uniform", 1, CONVERGED, 12, 2.3116746283596533e-12, 1.06988525390625, 22),
+    (12, "log-uniform", 2, CONVERGED, 21, 4.980133386562415e-11, 0.8603057861328125, 33),
 ]
 
 
-@pytest.mark.parametrize("m, kind, seed, status, steps, energy, t, solves", PINNED_RETRACTIONS)
+@pytest.mark.parametrize(
+    "m, kind, seed, status, steps, energy, t, solves",
+    PINNED_RETRACTIONS,
+    ids=[f"{m}-{kind}-{seed}" for m, kind, seed, *_ in PINNED_RETRACTIONS],
+)
 def test_retract_trajectory_pinned(monkeypatch, m, kind, seed, status, steps, energy, t, solves):
     mesh, _ = gen_grid(m)
     rng = np.random.default_rng(seed)
     count = len(mesh.directed_edges)
     values = rng.uniform(0.5, 2.0, count) if kind == "uniform" else 10 ** rng.uniform(-2, 2, count)
-    factors = counting(monkeypatch, torustutte.flow, "_factor")
+    factors = helpers.counting(monkeypatch, torustutte.flow, "_factor")
     trace = retract(mesh, WeightAssignment(values))
     assert (trace.status, trace.steps, factors[0]) == (status, steps, solves)
     assert trace.samples[-1].energy == pytest.approx(energy, rel=1e-6, abs=0)
     assert trace.samples[-1].t == pytest.approx(t, rel=1e-6, abs=0)
+
+
+def test_first_trial_is_the_linear_models_zero():
+    """The first trial step is E / -s along the initial velocity, capped at DT_MAX."""
+    mesh, placement = gen_grid(8)
+    w0 = mean_value_weights(mesh, perturb(mesh, placement, 0.05, 1)).values
+    w1 = mean_value_weights(mesh, perturb(mesh, placement, 0.05, 2)).values
+    weights = WeightAssignment(0.5 * w0 + 0.5 * w1)
+    report = residual_structure(mesh, weights)
+    slope = _energy_slope(mesh, report, helpers.flow_velocity(mesh, weights))
+    trace = retract(mesh, weights)
+    assert trace.status == CONVERGED
+    # accepted at once: the first sample after the start sits at the model's step
+    assert trace.samples[1].t == min(DT_MAX, report.energy / -slope)
+    assert trace.samples[1].t == pytest.approx(0.006428, rel=1e-3)

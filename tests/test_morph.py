@@ -1,10 +1,18 @@
+import importlib
+
 import numpy as np
 import pytest
 
+import helpers
+import torustutte.flow
 import torustutte.tutte
 from torustutte import (
+    CONVERGED,
+    STALLED,
+    FlowTrace,
     Placement,
     WeightAssignment,
+    gen_grid,
     mean_value_weights,
     morph,
     perturb,
@@ -78,6 +86,48 @@ def test_morph_rejects_few_steps(bumpy4):
     mesh, placement = bumpy4
     with pytest.raises(ValueError):
         morph(mesh, placement, placement, steps=1)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, "3", None])
+def test_morph_rejects_non_integer_steps(bumpy4, monkeypatch, steps):
+    mesh, placement = bumpy4
+    solves = helpers.counting(monkeypatch, torustutte.flow, "_factor")
+    with pytest.raises(ValueError, match="a morph needs an integer of at least 2 frames"):
+        morph(mesh, placement, placement, steps)
+    assert solves[0] == 0
+
+
+def test_morph_raises_when_a_frame_stalls(grid4, monkeypatch):
+    """A stalled retraction is a failed frame, like a spent step budget. The
+    endpoints' mean value weights need no step; the midpoint stalls."""
+    mesh, placement = grid4
+    start = perturb(mesh, placement, 0.075, seed=1)
+    end = perturb(mesh, placement, 0.075, seed=2)
+    # the package's ``morph`` attribute is the function, so fetch the module
+    module = importlib.import_module("torustutte.morph")
+    inner = module._retract
+
+    def stalling(*args):
+        trace, coords = inner(*args)
+        if trace.status == CONVERGED:
+            trace = FlowTrace(trace.samples, STALLED)
+        return trace, coords
+
+    monkeypatch.setattr(module, "_retract", stalling)
+    with pytest.raises(RetractFailedError, match=r"t=0\.5000 did not converge: stalled"):
+        morph(mesh, start, end, 3)
+
+
+def test_morph_factor_count_pinned(monkeypatch):
+    """The first trial of each frame starts at the linear model's zero. A
+    first trial of 0.01 took 150 factorizations on this morph."""
+    mesh, placement = gen_grid(16)
+    start = perturb(mesh, placement, 0.3 / 16, 1)
+    end = perturb(mesh, placement, 0.3 / 16, 2)
+    factors = helpers.counting(monkeypatch, torustutte.flow, "_factor")
+    frames = morph(mesh, start, end, 9)
+    assert verify_morph(mesh, frames).passed
+    assert factors[0] == 125 < 150
 
 
 def test_morph_rejects_unanchored(grid4, bumpy4):
