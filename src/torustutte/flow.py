@@ -28,13 +28,11 @@ report gives the energy gradient in closed form, by the envelope theorem
     dE/dw_ij = 2 sqrt(E) pi_i u_ij / |pi|,
 
 so the slope s = sum_ij v_ij dE/dw_ij along the field costs no extra
-solve (Nocedal & Wright, Numerical Optimization, ch. 3-4). The first
-trial is dt = E / -s, where the linear model of the energy reaches
-zero, clipped to [DT_MIN, DT_MAX]. After an accepted step a ratio test
-sets the next one: it doubles when the actual drop is more than 3/4 of
-the predicted -dt * s, halves when it is less than 1/4, and stays
-otherwise. A trial solve stops at the energy; only an accepted one goes
-on to the coordinates and the edge projections.
+solve (Nocedal & Wright, Numerical Optimization, ch. 3). Every step's
+first trial is dt = E / -s, where the linear model of the energy at the
+step's start reaches zero, clipped to [DT_MIN, DT_MAX]. A trial solve
+stops at the energy; only an accepted one goes on to the coordinates and
+the edge projections.
 """
 
 import math
@@ -59,7 +57,7 @@ BUDGET_EXCEEDED = "budget_exceeded"
 ALREADY_ADMISSIBLE = "already_admissible"
 STALLED = "stalled"
 
-# bounds of every trial step; the first one comes from the energy slope
+# bounds of every trial step; each step's first one comes from the energy slope
 DT_MIN = 1e-8
 DT_MAX = 0.25
 
@@ -185,18 +183,15 @@ def retract(mesh, weights, max_steps=200_000):
     Explicit Euler with acceptance control: a trial step is accepted
     only if all weights stay finite and positive, the balance energy
     strictly decreases, and the asymmetry bound does not grow; on
-    rejection the step halves down to ``DT_MIN``. The first step tries
-    E / -s, where the energy's linear model along the initial velocity
-    reaches zero, clipped to [``DT_MIN``, ``DT_MAX``]; after each
-    accepted step the ratio of the actual to the predicted energy drop
-    doubles the next step (capped at ``DT_MAX``) above 3/4, halves it
-    below 1/4, and keeps it otherwise. Each trial factors the balance
-    system once. Returns a FlowTrace whose samples record every accepted
-    state; status is ``converged``, ``already_admissible``,
-    ``budget_exceeded`` (``max_steps`` accepted steps ran out), or
-    ``stalled`` (every trial failed down to ``DT_MIN``); the best
-    weights found are still returned. A negative or non-integer
-    ``max_steps`` is a ValueError, raised before any solve.
+    rejection the step halves down to ``DT_MIN``. Every step first tries
+    E / -s, where the energy's linear model along the current velocity
+    reaches zero, clipped to [``DT_MIN``, ``DT_MAX``]. Each trial
+    factors the balance system once. Returns a FlowTrace whose samples
+    record every accepted state; status is ``converged``,
+    ``already_admissible``, ``budget_exceeded`` (``max_steps`` accepted
+    steps ran out), or ``stalled`` (every trial failed down to
+    ``DT_MIN``); the best weights found are still returned. A negative
+    or non-integer ``max_steps`` is a ValueError, raised before any solve.
     """
     return _retract(mesh, weights, max_steps)[0]
 
@@ -218,16 +213,22 @@ def _retract(mesh, weights, max_steps):
     ]
     if report.zero_residual:
         return FlowTrace(samples, ALREADY_ADMISSIBLE), coords
+    # sum 1/w only shrinks as the weights grow, so a scale positive here stays so
+    with np.errstate(over="ignore"):
+        scale = _gate_scale(mesh, values)
+    if not scale > 0:
+        raise NonFiniteStateError(
+            f"flow gate scale underflows to {scale}: the sum of 1 / w leaves float "
+            f"range (smallest weight {values.min()})"
+        )
 
-    dt = None
     while len(samples) <= max_steps:  # the initial state plus one per accepted step
         velocity = _velocity(mesh, values, report.projections)
         slope = _energy_slope(mesh, report, velocity)
-        asym = _asym_bound(values, rev)
-        if dt is None:  # where the linear model of the energy reaches zero
-            e0 = report.energy
-            # no division unless the slope is negative enough (not zero, positive or nan)
-            dt = DT_MAX if not -slope * DT_MAX > e0 else max(DT_MIN, e0 / -slope)
+        asym = samples[-1].asym_bound
+        # where the linear model of the energy reaches zero; no division
+        # unless the slope is negative enough (not zero, positive or nan)
+        dt = DT_MAX if not -slope * DT_MAX > report.energy else max(DT_MIN, report.energy / -slope)
         while dt >= DT_MIN:
             trial = values + dt * velocity
             if not np.isfinite(trial).all() or (trial <= 0).any():
@@ -245,7 +246,6 @@ def _retract(mesh, weights, max_steps):
             dt *= 0.5
         else:  # every trial failed before dt fell below DT_MIN
             return FlowTrace(samples, STALLED), coords
-        drop, predicted = report.energy - factored.energy, -dt * slope
         values = trial
         coords, report = _finish(mesh, factored)
         samples.append(FlowSample(
@@ -253,9 +253,4 @@ def _retract(mesh, weights, max_steps):
         ))
         if report.zero_residual:
             return FlowTrace(samples, CONVERGED), coords
-        # the ratio test drop / predicted, kept free of a division
-        if drop > 0.75 * predicted:
-            dt = min(dt * 2.0, DT_MAX)
-        elif drop < 0.25 * predicted:
-            dt = max(dt * 0.5, DT_MIN)
     return FlowTrace(samples, BUDGET_EXCEEDED), coords

@@ -4,9 +4,10 @@ Both endpoints are converted to mean value weights, interpolated
 linearly, and each interpolant is retracted to an admissible
 assignment whose balanced placement is the frame. Every frame is then
 an embedding by construction, and the endpoint frames reproduce the
-inputs because mean value weights are already admissible. A frame is
-the placement the retraction solved last, certified once here; it is
-exactly ``tutte_map`` of the retraction's final weights.
+inputs because mean value weights are already admissible. Each endpoint
+is certified once, by ``mean_value_weights``. A frame is the placement
+the retraction solved last, certified once here; it is exactly
+``tutte_map`` of the retraction's final weights.
 """
 
 import numbers
@@ -39,13 +40,15 @@ def morph(mesh, start, end, steps, max_steps=200_000):
     """
     if not isinstance(steps, numbers.Integral) or steps < 2:
         raise ValueError(f"a morph needs an integer of at least 2 frames, got {steps!r}")
+    ends = []
     for name, p in (("start", start), ("end", end)):
         if not p.anchored:
             raise ValueError(f"{name} placement must have vertex 0 at the origin")
-        if not verify_embedding(mesh, p).is_embedding:
-            raise NotEmbeddedError(f"{name} placement is not an embedding")
-    w0 = mean_value_weights(mesh, start).values
-    w1 = mean_value_weights(mesh, end).values
+        try:  # mean value weights certify their placement
+            ends.append(mean_value_weights(mesh, p).values)
+        except NotEmbeddedError as exc:
+            raise NotEmbeddedError(f"{name} {exc}") from exc
+    w0, w1 = ends
     frames = []
     for s in range(steps):
         t = s / (steps - 1)

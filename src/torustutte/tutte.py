@@ -225,8 +225,9 @@ def _finish(mesh, factored):
     or the coordinates are not finite. Returns (coords, ResidualReport).
     """
     pi, drift, energy, values = factored.pi, factored.drift, factored.energy, factored.values
-    residual = np.outer(pi[1:], -drift / float(pi @ pi))
-    free = factored.lu.solve(factored.rhs[1:] + residual, trans="T")
+    with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite solve is raised below
+        residual = np.outer(pi[1:], -drift / float(pi @ pi))
+        free = factored.lu.solve(factored.rhs[1:] + residual, trans="T")
     coords = np.vstack([np.zeros((1, 2)), free])
     if not (math.isfinite(energy) and np.isfinite(pi).all() and np.isfinite(free).all()):
         raise NonFiniteStateError(
@@ -237,12 +238,14 @@ def _finish(mesh, factored):
     if not zero_residual:
         direction = -drift / float(np.linalg.norm(drift))
         projections = direction_form(mesh, Placement(coords), direction).values
+    with np.errstate(over="ignore"):  # a ratio past float range reads inf
+        ratio = float((values / values[mesh.reverse_index]).max())
     report = ResidualReport(
         pi=pi,
         drift=drift,
         energy=energy,
         projections=projections,
-        max_weight_ratio=float((values / values[mesh.reverse_index]).max()),
+        max_weight_ratio=ratio,
         zero_residual=zero_residual,
     )
     return coords, report

@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 import torustutte.cli
+import torustutte.mvc
 import torustutte.tutte
 from torustutte import (
     Placement,
@@ -525,6 +526,37 @@ def test_nonfinite_solve_exit_code(tmp_path, capsys):
         assert "not finite" in out.err
 
 
+def _first_weight_args(tmp_path, value):
+    """--mesh and --weights files for gen_grid(4), uniform weights but the first."""
+    mesh, _ = gen_grid(4)
+    values = uniform_weights(mesh).values.copy()
+    values[0] = value
+    mesh_path, weights_path = tmp_path / "mesh.json", tmp_path / "weights.json"
+    dump_json(mesh_to_json(mesh), mesh_path)
+    dump_json(weights_to_json(mesh, WeightAssignment(values)), weights_path)
+    return ["--mesh", mesh_path, "--weights", weights_path]
+
+
+def test_overflowing_weight_fails_without_warning(tmp_path, capsys):
+    """A weight of 1e308 overflows the solve's residual: exit 3, and, under the
+    suite's RuntimeWarning filter, no warning on the way."""
+    code, out = run(capsys, ["energy", *_first_weight_args(tmp_path, 1e308)])
+    assert code == 3
+    assert "not finite" in out.err
+
+
+def test_subnormal_weight_runs_without_warning(tmp_path, capsys):
+    """A weight of 5e-324 has a finite energy, but 1 / w overflows the flow's
+    gate scale: retract names that before any trial, with no warning."""
+    base = _first_weight_args(tmp_path, 5e-324)
+    code, out = run(capsys, ["energy", *base])
+    assert code == 0
+    assert json.loads(out.out)["admissible"] is False
+    code, out = run(capsys, ["retract", *base])
+    assert code == 3
+    assert "gate scale underflows" in out.err
+
+
 def test_singular_solve_exit_code(tmp_path, capsys):
     """Subnormal weights make the reduced balance matrix singular: a numerical failure."""
     mesh, _ = gen_grid(6)
@@ -560,7 +592,8 @@ def count_certificates(monkeypatch):
         return verify_embedding(*args, **kwargs)
 
     # the package's ``morph`` attribute is the function, so fetch the module
-    for module in (torustutte.cli, importlib.import_module("torustutte.morph"), torustutte.tutte):
+    modules = (torustutte.cli, importlib.import_module("torustutte.morph"), torustutte.mvc)
+    for module in (*modules, torustutte.tutte):
         monkeypatch.setattr(module, "verify_embedding", counted)
     return calls
 

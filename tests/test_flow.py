@@ -338,6 +338,18 @@ def test_retract_rejects_initial_weights_without_finite_solve():
         retract(mesh, WeightAssignment(np.where(coin, 1e300, 1e-300)))
 
 
+def test_retract_names_an_underflowing_gate_scale(monkeypatch):
+    """A weight of 5e-324 solves, but 1 / w overflows the gate scale's sum: the
+    flow says so before its first trial, not as a NaN velocity."""
+    mesh, _ = gen_grid(4)
+    values = uniform_weights(mesh).values.copy()
+    values[0] = 5e-324
+    factors = helpers.counting(monkeypatch, torustutte.flow, "_factor")
+    with pytest.raises(NonFiniteStateError, match="gate scale underflows to 0.0"):
+        retract(mesh, WeightAssignment(values))
+    assert factors[0] == 1
+
+
 def test_energy_slope_matches_central_difference(grid6):
     """The closed-form dE/dt along the field agrees with a central difference."""
     faces, shifts = helpers.random_diagonal_grid(5, np.random.default_rng(3))
@@ -356,7 +368,7 @@ def test_energy_slope_matches_central_difference(grid6):
 def test_rejected_trials_stop_at_the_energy(monkeypatch):
     """Only accepted states get a coordinate solve and edge projections."""
     mesh, _ = gen_grid(8)
-    values = np.random.default_rng(2).uniform(0.5, 2.0, len(mesh.directed_edges))
+    values = 10 ** np.random.default_rng(3).uniform(-3.0, 3.0, len(mesh.directed_edges))
     factors = helpers.counting(monkeypatch, torustutte.flow, "_factor")
     finishes = helpers.counting(monkeypatch, torustutte.flow, "_finish")
     projections = helpers.counting(monkeypatch, torustutte.tutte, "direction_form")
@@ -378,19 +390,20 @@ def test_retract_coordinates_are_the_tutte_map():
 
 
 # (m, weights, seed, status, steps, final energy, final t, balance solves) as
-# recorded with the first trial at the linear model's zero and the
-# ratio-test step rule after it; the solves count the initial one. A
-# first trial of 0.01 took 19/27, 20/29, 27/34, 17/24, 18/26 and 23/37
-# steps/solves on these runs, and the doubling rule before the ratio test
-# 46, 46, 68, 44, 39 and 56 solves. Another factorization of the same
-# matrix may move last bits, never an accepted step.
+# recorded with every step's first trial at the linear model's zero; the
+# solves count the initial one. With that start on the first step only and
+# a ratio test after each accepted step, these runs took 16/25, 17/28,
+# 23/30, 16/24, 12/22 and 21/33 steps/solves; with a first trial of 0.01,
+# 19/27, 20/29, 27/34, 17/24, 18/26 and 23/37; and the doubling rule before
+# the ratio test took 46, 46, 68, 44, 39 and 56 solves. Another
+# factorization of the same matrix may move last bits, never an accepted step.
 PINNED_RETRACTIONS = [
-    (8, "uniform", 0, CONVERGED, 16, 9.833348796697639e-11, 0.10898929299810375, 25),
-    (8, "log-uniform", 1, CONVERGED, 17, 2.572752230103272e-11, 1.617279052734375, 28),
-    (8, "log-uniform", 2, CONVERGED, 23, 4.085941720216177e-11, 2.03790283203125, 30),
-    (12, "uniform", 0, CONVERGED, 16, 4.593237675788362e-11, 0.1308277889743926, 24),
-    (12, "log-uniform", 1, CONVERGED, 12, 2.3116746283596533e-12, 1.06988525390625, 22),
-    (12, "log-uniform", 2, CONVERGED, 21, 4.980133386562415e-11, 0.8603057861328125, 33),
+    (8, "uniform", 0, CONVERGED, 18, 3.885876368954292e-11, 0.08555611938744438, 19),
+    (8, "log-uniform", 1, CONVERGED, 20, 5.5978421089567785e-11, 1.5638520041445156, 21),
+    (8, "log-uniform", 2, CONVERGED, 23, 5.245861723018038e-11, 1.8294834110305256, 24),
+    (12, "uniform", 0, CONVERGED, 17, 6.01381979697374e-11, 0.08430563789499654, 18),
+    (12, "log-uniform", 1, CONVERGED, 16, 4.771303072076824e-11, 0.9842496483797125, 17),
+    (12, "log-uniform", 2, CONVERGED, 28, 5.316878728714621e-11, 0.8326445820131063, 30),
 ]
 
 
@@ -411,16 +424,35 @@ def test_retract_trajectory_pinned(monkeypatch, m, kind, seed, status, steps, en
     assert trace.samples[-1].t == pytest.approx(t, rel=1e-6, abs=0)
 
 
+def _model_halvings(mesh, weights):
+    """For each accepted step, the k with dt = min(DT_MAX, E / -s) / 2^k, E and s
+    the energy and its slope along the velocity at the step's start."""
+    trace = retract(mesh, weights)
+    assert trace.status == CONVERGED
+    halvings = []
+    for prev, cur in zip(trace.samples, trace.samples[1:]):
+        start = WeightAssignment(prev.weights)
+        report = residual_structure(mesh, start)
+        slope = _energy_slope(mesh, report, helpers.flow_velocity(mesh, start))
+        model = min(DT_MAX, report.energy / -slope)
+        # halving is exact in floating point, so t reproduces bit for bit
+        ks = [k for k in range(40) if prev.t + model * 0.5**k == cur.t]
+        assert ks, (prev.t, cur.t, model)
+        halvings.append(ks[0])
+    return trace, halvings
+
+
 def test_first_trial_is_the_linear_models_zero():
-    """The first trial step is E / -s along the initial velocity, capped at DT_MAX."""
+    """Every step's first trial is E / -s along its velocity, capped at DT_MAX;
+    a rejected trial halves it."""
     mesh, placement = gen_grid(8)
     w0 = mean_value_weights(mesh, perturb(mesh, placement, 0.05, 1)).values
     w1 = mean_value_weights(mesh, perturb(mesh, placement, 0.05, 2)).values
-    weights = WeightAssignment(0.5 * w0 + 0.5 * w1)
-    report = residual_structure(mesh, weights)
-    slope = _energy_slope(mesh, report, helpers.flow_velocity(mesh, weights))
-    trace = retract(mesh, weights)
-    assert trace.status == CONVERGED
+    trace, halvings = _model_halvings(mesh, WeightAssignment(0.5 * w0 + 0.5 * w1))
     # accepted at once: the first sample after the start sits at the model's step
-    assert trace.samples[1].t == min(DT_MAX, report.energy / -slope)
+    assert halvings[0] == 0
     assert trace.samples[1].t == pytest.approx(0.006428, rel=1e-3)
+    # six decades of weight spread reject some first trials
+    values = 10 ** np.random.default_rng(3).uniform(-3.0, 3.0, len(mesh.directed_edges))
+    _, halvings = _model_halvings(mesh, WeightAssignment(values))
+    assert max(halvings) > 0

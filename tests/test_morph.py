@@ -5,6 +5,8 @@ import pytest
 
 import helpers
 import torustutte.flow
+import torustutte.geometry
+import torustutte.mvc
 import torustutte.tutte
 from torustutte import (
     CONVERGED,
@@ -119,15 +121,35 @@ def test_morph_raises_when_a_frame_stalls(grid4, monkeypatch):
 
 
 def test_morph_factor_count_pinned(monkeypatch):
-    """The first trial of each frame starts at the linear model's zero. A
-    first trial of 0.01 took 150 factorizations on this morph."""
+    """Every step of each frame starts at the linear model's zero. With that
+    start on a frame's first step only and a ratio test after it, this morph
+    took 125 factorizations; with a first trial of 0.01, 150."""
     mesh, placement = gen_grid(16)
     start = perturb(mesh, placement, 0.3 / 16, 1)
     end = perturb(mesh, placement, 0.3 / 16, 2)
     factors = helpers.counting(monkeypatch, torustutte.flow, "_factor")
     frames = morph(mesh, start, end, 9)
     assert verify_morph(mesh, frames).passed
-    assert factors[0] == 125 < 150
+    assert factors[0] == 98 < 125
+
+
+@pytest.mark.parametrize("steps", [2, 3, 5])
+def test_morph_certifies_each_placement_once(grid4, monkeypatch, steps):
+    """n frames take n + 2 certificates: one per frame and one per endpoint."""
+    mesh, placement = grid4
+    start = perturb(mesh, placement, 0.075, seed=1)
+    end = perturb(mesh, placement, 0.075, seed=2)
+    calls = [0]
+    inner = torustutte.geometry.verify_embedding
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    for module in (importlib.import_module("torustutte.morph"), torustutte.mvc, torustutte.tutte):
+        monkeypatch.setattr(module, "verify_embedding", counted)
+    assert len(morph(mesh, start, end, steps)) == steps
+    assert calls[0] == steps + 2
 
 
 def test_morph_rejects_unanchored(grid4, bumpy4):
@@ -141,8 +163,10 @@ def test_morph_rejects_folded_endpoint(grid3):
     mesh, placement = grid3
     coords = placement.coords.copy()
     coords[4] = [-0.1, -0.1]
-    with pytest.raises(NotEmbeddedError):
+    with pytest.raises(NotEmbeddedError, match=r"^end placement is not an embedding \(min area"):
         morph(mesh, placement, Placement(coords), steps=3)
+    with pytest.raises(NotEmbeddedError, match=r"^start placement is not an embedding"):
+        morph(mesh, Placement(coords), placement, steps=3)
 
 
 def test_morph_raises_when_a_frame_does_not_converge(grid4):

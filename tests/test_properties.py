@@ -1,4 +1,5 @@
-"""Property tests of the balance solver on the small reference meshes."""
+"""Property tests of the balance solver and the retraction flow on the small
+reference meshes."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 import helpers
 from torustutte import (
+    ALREADY_ADMISSIBLE,
+    CONVERGED,
     WeightAssignment,
     gen_grid,
     gen_k7,
     residual_structure,
+    retract,
     tutte_map,
     verify_embedding,
 )
@@ -51,3 +55,18 @@ def test_directed_report_matches_left_null_closed_form(name, data):
     assert np.allclose(report.residuals, -np.outer(pi, drift) / (pi @ pi), rtol=0, atol=atol)
     if not report.zero_residual:
         assert np.allclose(report.direction, -drift / np.linalg.norm(drift), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(MESHES))
+@given(data=st.data())
+def test_retraction_steps_descend_and_converge(name, data):
+    """Every accepted step strictly lowers the energy, lowers no weight and
+    grows no asymmetry bound, and the run ends at admissible weights."""
+    mesh = MESHES[name]
+    trace = retract(mesh, WeightAssignment(data.draw(weight_arrays(mesh))))
+    assert trace.status in (CONVERGED, ALREADY_ADMISSIBLE)
+    for prev, cur in zip(trace.samples, trace.samples[1:]):
+        assert cur.energy < prev.energy
+        assert (cur.weights >= prev.weights).all()
+        # the flow's own acceptance slack on the asymmetry bound
+        assert cur.asym_bound <= prev.asym_bound + 1e-12
