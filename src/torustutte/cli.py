@@ -52,11 +52,14 @@ def _emit(args, obj):
 
 def _load(path, parse, *context):
     """Read a JSON file and ``parse(*context, document)`` it. A value of the
-    wrong type, such as null faces or a number for a list, is an input error."""
+    wrong type, such as null faces or a number for a list, and a missing
+    key, such as a placement read as weights, are input errors that name the file."""
     try:
         return parse(*context, serialize.load_json(path))
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: value of the wrong type: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
 
 
 def cmd_validate(args):

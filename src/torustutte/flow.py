@@ -98,10 +98,13 @@ class FlowTrace:
 def _ramp(t):
     """Smooth ramp: 0 for t <= 0, 1 for t >= 1, strictly increasing between."""
     t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
-        hi = np.where(t < 1, np.exp(-1.0 / np.where(t < 1, 1.0 - t, 1.0)), 0.0)
-    return lo / (lo + hi)
+    out = np.asarray(np.clip(t, 0.0, 1.0))  # the plateaus; the exponentials only between
+    mid = (t > 0) & (t < 1)
+    inner = t[mid]
+    with np.errstate(over="ignore"):  # 1 / t overflows on a subnormal t; exp(-inf) is 0
+        lo, hi = np.exp(-1.0 / inner), np.exp(-1.0 / (1.0 - inner))
+    out[mid] = lo / (lo + hi)
+    return out
 
 
 def projection_gate(s):
@@ -164,10 +167,10 @@ def flow_constants(mesh, weights):
 
 def _velocity(mesh, values, u):
     """Euler field at the current state from the edge projections ``u``."""
-    rev = mesh.reverse_index
+    back = values[mesh.reverse_index]
     return values * projection_gate(
-        (values + values[rev]) * u / _gate_scale(mesh, values)
-    ) * asymmetry_gate(values - values[rev])
+        (values + back) * u / _gate_scale(mesh, values)
+    ) * asymmetry_gate(values - back)
 
 
 def _energy_slope(mesh, report, velocity):
@@ -237,19 +240,17 @@ def _retract(mesh, weights, max_steps):
                 dt *= 0.5
                 continue
             factored = _factor(mesh, trial, pattern)
-            if (
-                np.isfinite(factored.energy)
-                and factored.energy < report.energy
-                and _asym_bound(trial, rev) <= asym + 1e-12
-            ):
-                break
+            if np.isfinite(factored.energy) and factored.energy < report.energy:
+                bound = _asym_bound(trial, rev)
+                if bound <= asym + 1e-12:
+                    break
             dt *= 0.5
         else:  # every trial failed before dt fell below DT_MIN
             return FlowTrace(samples, STALLED), coords
         values = trial
         coords, report = _finish(mesh, factored)
         samples.append(FlowSample(
-            samples[-1].t + dt, values, report.energy, float(values.min()), _asym_bound(values, rev)
+            samples[-1].t + dt, values, report.energy, float(values.min()), bound
         ))
         if report.zero_residual:
             return FlowTrace(samples, CONVERGED), coords

@@ -65,7 +65,9 @@ def _lifted(mesh, placement, edges):
     """Lifted vectors of ``edges``, any index into mesh.directed_edges, shape (..., 2)."""
     _check_sizes(mesh, placement)
     ends = mesh.directed_edges[edges]
-    return placement.coords[ends[..., 1]] - placement.coords[ends[..., 0]] + mesh.shifts[edges]
+    # np.take gathers the same rows as fancy indexing, several times faster
+    head, tail = (np.take(placement.coords, ends[..., k], axis=0) for k in (1, 0))
+    return head - tail + mesh.shifts[edges]
 
 
 def edge_vectors(mesh, placement):

@@ -474,6 +474,15 @@ def oracle_colamd_solve(mesh, values):
     return np.vstack([np.zeros((1, 2)), free]), pi, drift, float(drift @ drift) / pi_sq
 
 
+def oracle_ramp(t):
+    """The flow's smooth ramp with both exponentials evaluated on every entry."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
+        hi = np.where(t < 1, np.exp(-1.0 / np.where(t < 1, 1.0 - t, 1.0)), 0.0)
+        return lo / (lo + hi)
+
+
 def flow_velocity(mesh, weights):
     """dw/dt of the retraction flow at non-admissible weights, from the
     edge projections of their residual report."""

@@ -440,6 +440,42 @@ def test_wrongly_typed_document_exit_code(workspace, tmp_path, capsys, case):
     assert out.err.startswith(f"error: {bad}: value of the wrong type: ")
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# the key a document lacks, the document, and the command line that reads it from ``bad``
+MISSING_KEY = {
+    "placement read as weights": (
+        "weights",
+        lambda mesh, placement: placement_to_json(placement),
+        lambda paths, bad: ["retract", "--mesh", paths["mesh"], "--weights", bad],
+    ),
+    "mesh without faces": (
+        "faces",
+        lambda mesh, placement: _without(mesh_to_json(mesh), "faces"),
+        lambda paths, bad: ["validate", "--mesh", bad],
+    ),
+    "placement without coords": (
+        "coords",
+        lambda mesh, placement: _without(placement_to_json(placement), "coords"),
+        lambda paths, bad: ["validate", "--mesh", paths["mesh"], "--placement", bad],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_KEY))
+def test_missing_key_exit_code(workspace, tmp_path, capsys, case):
+    """A document that lacks a key is an input error naming the file and the key."""
+    mesh, placement, paths = workspace
+    key, make, argv = MISSING_KEY[case]
+    bad = tmp_path / "bad.json"
+    dump_json(make(mesh, placement), bad)
+    code, out = run(capsys, argv(paths, bad))
+    assert code == 2
+    assert out.err == f"error: {bad}: missing key '{key}'\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, out = run(capsys, ["validate", "--mesh", tmp_path / "nope.json"])
     assert code == 2

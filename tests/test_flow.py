@@ -74,6 +74,27 @@ def test_gate_midpoint_symmetry():
         )
 
 
+# ramp arguments on both plateaus, at both edges and inside the band
+RAMP_POINTS = [
+    -math.inf, -1e300, -1.0, -0.0, 0.0, 5e-324, 1e-3, 0.5, 1 - 2**-53, 1.0, 1e300, math.inf,
+]
+
+
+def test_gates_match_the_ramp_oracle():
+    """Both gates equal the ramp formula that evaluated both exponentials on
+    every entry, bit for bit, on scalars and on arrays."""
+    t = np.array(RAMP_POINTS)
+    s = np.concatenate([t, t - 1.0, t + 1.0, np.random.default_rng(0).uniform(-2, 3, 300)])
+    for gate, shift in ((projection_gate, 1.0), (asymmetry_gate, -1.0)):
+        want = 1.0 - helpers.oracle_ramp(s + shift)
+        assert gate(s).tobytes() == want.tobytes()
+        assert gate(s.reshape(-1, 3)).tobytes() == want.tobytes()
+        for x, w in zip(s.tolist(), want.tolist()):
+            got = gate(x)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(w).tobytes()
+        assert math.isnan(gate(math.nan)) and np.isnan(gate(np.array([math.nan]))).all()
+
+
 # ---------------------------------------------------------------------------
 # Constants
 

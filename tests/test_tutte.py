@@ -395,6 +395,25 @@ def test_solve_matches_colamd_lu_on_stiff_weights(name, kind):
     assert report.energy == pytest.approx(energy, rel=1e-10, abs=0)
 
 
+PIVOT_MESHES = {
+    "grid12": lambda: gen_grid(12)[0],
+    "k7": lambda: gen_k7()[0],
+    "diagonal12": RESIDUAL_MESHES["diagonal12"],
+    "grid64": lambda: gen_grid(64)[0],
+}
+
+
+@pytest.mark.parametrize("span", [0.3, 3, 6, 8])
+@pytest.mark.parametrize("name", list(PIVOT_MESHES))
+def test_factor_keeps_diagonal_pivots(name, span):
+    """-A[1:, 1:] is an M-matrix, so SuperLU pivots on the diagonal: its row
+    permutation is its symmetric column ordering, on weights 10^U(-span, span)."""
+    mesh = PIVOT_MESHES[name]()
+    values = 10.0 ** np.random.default_rng(5).uniform(-span, span, len(mesh.directed_edges))
+    lu = torustutte.tutte._factor(mesh, values, _pattern(mesh)).lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
 # ---------------------------------------------------------------------------
 # Accuracy across sizes
 
