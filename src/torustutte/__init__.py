@@ -33,6 +33,7 @@ from .geometry import (
     edge_vectors,
     face_signed_areas,
     verify_embedding,
+    vertex_angle_defects,
 )
 from .mesh import (
     GeneratorLoops,

@@ -70,6 +70,9 @@ class FlowConstants:
     gate_scale: float
     decay_rate: float
     time_bound: float
+    # natural logarithms of the two above, finite where those underflow
+    log_decay_rate: float
+    log_time_bound: float
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def flow_constants(mesh, weights):
 
     The time bound reads the balance energy of the weights. The decay
     rate is formed through its logarithm; when it underflows it is 0.0
-    and the time bound is infinite.
+    and the time bound is infinite, while both logarithms stay finite.
     """
     values = _validated_values(mesh, weights)
     energy = balance_energy(mesh, weights)
@@ -154,7 +157,8 @@ def flow_constants(mesh, weights):
     lo = float(values.min())
     asym = _asym_bound(values, mesh.reverse_index)
     log_rate = math.log(gap * lo / asym) - math.log(2.0 * math.sqrt(n))
-    decay_rate = math.exp(log_rate - (n - 1) * math.log1p(asym / lo))
+    log_rate -= (n - 1) * math.log1p(asym / lo)
+    decay_rate = math.exp(log_rate)
     return FlowConstants(
         loop_gap=gap,
         min_weight=lo,
@@ -162,6 +166,8 @@ def flow_constants(mesh, weights):
         gate_scale=_gate_scale(mesh, values),
         decay_rate=decay_rate,
         time_bound=2.0 * math.sqrt(energy) / decay_rate if decay_rate > 0 else math.inf,
+        log_decay_rate=log_rate,
+        log_time_bound=math.log(2.0 * math.sqrt(energy)) - log_rate if energy > 0 else -math.inf,
     )
 
 

@@ -42,14 +42,11 @@ class EmbeddingReport:
 
     ``degree`` is the rounded total signed area, the degree of the
     placement as a map to the torus; an embedding has degree 1.
-    Angle defects are 2*pi minus the unsigned angle sum at each vertex
-    and vanish for embeddings, the flat torus has no curvature to absorb.
     """
 
     face_areas: np.ndarray
     total_area: float
     min_area: float
-    vertex_angle_defects: np.ndarray
     is_embedding: bool
     degree: int
 
@@ -95,27 +92,26 @@ def face_signed_areas(mesh, placement):
     return _signed_areas(_lifted(mesh, placement, mesh.face_edges))
 
 
+def _certificate(fv):
+    """The :class:`EmbeddingReport` of face edge vectors ``fv``, shape (F, 3, 2)."""
+    areas = _signed_areas(fv)
+    total, least = float(areas.sum()), float(areas.min())
+    embeds = least > AREA_TOL and abs(total - 1.0) <= TOTAL_AREA_TOL
+    return EmbeddingReport(areas, total, least, embeds, int(round(total)))
+
+
 def verify_embedding(mesh, placement):
     """Certify whether a placement embeds the mesh in the torus.
 
     The certificate is purely local: all face areas exceed ``AREA_TOL``
     and the total equals 1 within ``TOTAL_AREA_TOL``, which pins the
-    degree to one. Angle sums per vertex are reported alongside; for an
-    embedding each equals 2*pi.
+    degree to one.
     """
-    fv = _lifted(mesh, placement, mesh.face_edges)
-    areas = _signed_areas(fv)
-    total = float(areas.sum())
+    return _certificate(_lifted(mesh, placement, mesh.face_edges))
 
-    angle_sums = np.zeros(mesh.vertex_count)
-    np.add.at(angle_sums, mesh.faces.T.ravel(), _corner_angles(fv).T.ravel())
 
-    is_embedding = bool(areas.min() > AREA_TOL and abs(total - 1.0) <= TOTAL_AREA_TOL)
-    return EmbeddingReport(
-        face_areas=areas,
-        total_area=total,
-        min_area=float(areas.min()),
-        vertex_angle_defects=2.0 * np.pi - angle_sums,
-        is_embedding=is_embedding,
-        degree=int(round(total)),
-    )
+def vertex_angle_defects(mesh, placement):
+    """2*pi minus the unsigned angle sum at each vertex; zero for embeddings,
+    since the flat torus has no curvature to absorb."""
+    angles = _corner_angles(_lifted(mesh, placement, mesh.face_edges))
+    return 2.0 * np.pi - np.bincount(mesh.faces.ravel(), angles.ravel(), mesh.vertex_count)

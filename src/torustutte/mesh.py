@@ -232,13 +232,15 @@ class TorusTriangulation:
 
         directed, offsets = directed.astype(np.int32), offsets.astype(np.int32)
         edge_index = EdgeIndex(directed, offsets)
-        shift_table = self._resolve_shifts(edge_index, directed, reverse_index, order, shifts)
+        table, moved = self._resolve_shifts(edge_index, directed, reverse_index, order, shifts)
 
-        total = shift_table[face_edges].sum(axis=1)
+        # Only a face with a nonzero shift can fail to sum to zero.
+        checked = np.unique(order[moved] // 3)
+        total = table[face_edges[checked]].sum(axis=1, dtype=np.int64)
         broken = (total != 0).any(axis=1)
         if broken.any():
             fi = int(np.argmax(broken))
-            i, j, k = faces[fi].tolist()
+            i, j, k = faces[checked[fi]].tolist()
             raise CocycleViolationError(
                 f"shifts around face ({i}, {j}, {k}) sum to {tuple(total[fi].tolist())}"
             )
@@ -251,7 +253,7 @@ class TorusTriangulation:
         self.directed_edges = directed
         self.edge_index = edge_index
         self.edge_ids = edge_index.ids
-        self.shifts = shift_table.astype(np.int32)
+        self.shifts = table
         self.reverse_index = reverse_index.astype(np.int32)
         self.face_edges = face_edges.astype(np.int32)
         self._corner = order.astype(np.int32)
@@ -259,29 +261,35 @@ class TorusTriangulation:
 
     @staticmethod
     def _resolve_shifts(edge_index, directed, rev, order, shifts):
-        # order[e] is edge e's corner; conflicts name the orientation met first.
-        given = np.zeros((len(rev), 2), dtype=np.int64)
-        has = np.zeros(len(rev), dtype=bool)
-        if shifts:
-            rows = _integral([(*k, *v) for k, v in dict(shifts).items()], "shift entry")
-            pos = edge_index.ids(rows[:, 0], rows[:, 1])
-            if (pos < 0).any():
-                i, j = rows[np.argmax(pos < 0), :2].tolist()
-                raise MeshError(f"shift given for non-edge ({i}, {j})")
-            wide = ((rows[:, 2:] <= -2**31) | (rows[:, 2:] >= 2**31)).any(axis=1)
-            if wide.any():
-                i, j, bx, by = rows[np.argmax(wide)].tolist()
-                raise MeshError(f"shift ({bx}, {by}) of edge ({i}, {j}) does not fit in int32")
-            given[pos] = rows[:, 2:]
-            has[pos] = True
-        conflict = (order < order[rev]) & has & has[rev] & (given != -given[rev]).any(axis=1)
+        """The int32 shift table, resolved on the given rows, and the edges
+        with a nonzero shift. order[e] is edge e's corner; a conflict names
+        the orientation met first."""
+        rows = [(*k, *v) for k, v in dict(shifts or {}).items()]
+        rows = _integral(rows or np.zeros((0, 4), dtype=np.int64), "shift entry")
+        pos = edge_index.ids(rows[:, 0], rows[:, 1])
+        if (pos < 0).any():
+            i, j = map(int, rows[np.argmax(pos < 0), :2])
+            raise MeshError(f"shift given for non-edge ({i}, {j})")
+        wide = ((rows[:, 2:] <= -2**31) | (rows[:, 2:] >= 2**31)).any(axis=1)
+        if wide.any():
+            i, j, bx, by = map(int, rows[np.argmax(wide)])
+            raise MeshError(f"shift ({bx}, {by}) of edge ({i}, {j}) does not fit in int32")
+        values = rows[:, 2:].astype(np.int64)
+        row_of = np.full(len(rev), -1)
+        row_of[pos] = np.arange(len(pos))
+        partner = row_of[rev[pos]]
+        conflict = (partner >= 0) & (values != -values[partner]).any(axis=1)
         if conflict.any():
-            e = np.flatnonzero(conflict)
+            e = pos[conflict]
             i, j = directed[e[np.argmin(order[e])]].tolist()
             raise ShiftConflictError(
                 f"shifts for ({i}, {j}) and ({j}, {i}) are not antisymmetric"
             )
-        return np.where(has[:, None], given, np.where(has[rev][:, None], -given[rev], 0))
+        table = np.zeros((len(rev), 2), dtype=np.int32)
+        table[rev[pos]] = -values
+        table[pos] = values
+        moved = pos[values.any(axis=1)]
+        return table, np.concatenate([moved, rev[moved]])
 
     face_of_edge = property(lambda self: self._corner // 3)
     opposite_vertex = property(lambda self: self.faces[self._corner // 3, (self._corner + 2) % 3])

@@ -5,10 +5,14 @@ clipped to the square, so edges crossing the seam show up on both
 sides. Edges go in blocks of 4096: per block, one vectorized
 Liang-Barsky pass clips the (edge, translate) rows whose translate can
 reach the square, in (edge, translate) order, so the output is that of
-clipping all nine edge by edge, and one ``%`` writes the block's edge
-groups. Faces with negative signed area are filled as a warning layer
+clipping all nine edge by edge. The block's edge groups are then
+written as one array of byte-string records, one per piece, with the
+digits of every number looked up in tables; the bytes are those
+``%.3f`` and ``%d`` write. Faces with negative signed area are filled as a warning layer
 under the edges.
 """
+
+import numbers
 
 import numpy as np
 
@@ -17,9 +21,61 @@ from .geometry import _signed_areas, edge_vectors
 _OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
 _SHIFTS = np.array(_OFFSETS, dtype=float)
 _LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="#27496d" stroke-width="1.4"/>'
-# The template of an edge drawn in n pieces, n = 0 to 9
-_GROUPS = ['<g class="edge" data-edge="%d-%d">' + _LINE * n + "</g>" for n in range(10)]
+_HEAD, _TAIL = '<g class="edge" data-edge="', "</g>\n"
 _BLOCK = 4096
+MAX_SIZE = 10**15  # keeps every pixel value times 1000 inside int64
+# Three-digit chunks as S3 strings: "000" to "999"; then unpadded, with 0
+# as "" for a leading chunk; then unpadded, with 0 as "0" for a lone one.
+_CHUNKS = np.array([b"%03d" % k for k in range(1000)] + [b"%d" % k for k in range(1000)] * 2)
+_CHUNKS[1000] = b""
+_FRACS = np.array([b".%03d" % k for k in range(1000)])
+
+
+def _decimal(values):
+    """``%d`` of the non-negative int64 ``values`` as byte strings of one
+    width, a multiple of 3, with 0 bytes in place of leading zeros."""
+    chunks = -(-len(str(int(values.max(initial=0)))) // 3)
+    out = np.empty((len(values), chunks), "S3")
+    for k in range(chunks - 1, -1, -1):
+        values, low = np.divmod(values, 1000)
+        out[:, k] = _CHUNKS[low + np.where(values == 0, 2000 if k == chunks - 1 else 1000, 0)]
+    return out.view(f"S{3 * chunks}").ravel()
+
+
+def _write_groups(ids, n, px, id_digits):
+    """Edge groups of one block as bytes, each followed by a newline, from
+    the (i, j) rows ``ids``, the pieces ``n`` of each edge, the pixel values
+    ``px`` of every piece and the :func:`_decimal` table ``id_digits``. A
+    record holds a piece, the head of its group if first and the tail if
+    last; an edge without pieces gets one record with neither."""
+    rows = np.maximum(n, 1)
+    last = np.cumsum(rows) - 1
+    first = last - rows + 1
+    lines = slice(None) if n.all() else np.repeat(n > 0, rows)
+    # q = |x| * 1000 rounded as %.3f rounds: rint of the product, or %.3f
+    # itself where the product's error, at most scaled * 2**-53, may cross a tie.
+    scaled = np.abs(px) * 1000.0
+    rounded = np.rint(scaled)
+    near = 0.5 - np.abs(scaled - rounded) <= scaled * 2.0**-52
+    q = rounded.astype(np.int64)
+    q[near] = [int(("%.3f" % x).replace(".", "")) for x in np.abs(px[near]).tolist()]
+    whole, frac = np.divmod(q, 1000)
+    whole = _decimal(whole.ravel()).reshape(whole.shape)
+    signs = np.where(np.signbit(px), b"-", b"")
+
+    fields = [(_HEAD, first), (id_digits[ids[:, 0]], first), ("-", first),
+              (id_digits[ids[:, 1]], first), ('">', first)]
+    for k, text in enumerate(_LINE.split("%.3f")):
+        fields.append((text, lines))
+        if k < 4:
+            fields += [(signs[:, k], lines), (whole[:, k], lines), (_FRACS[frac[:, k]], lines)]
+    fields.append((_TAIL, last))
+    dtype = [(f"f{k}", np.asarray(value, "S").dtype) for k, (value, _) in enumerate(fields)]
+    out = np.zeros(last[-1] + 1, dtype)
+    for k, (value, at) in enumerate(fields):
+        out[f"f{k}"][at] = value
+    raw = out.view(np.uint8)  # unused bytes are 0
+    return raw[raw != 0].tobytes()
 
 
 def _clip_segments(p, q):
@@ -76,12 +132,14 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
 
     Parameters
     ----------
-    size : pixel width and height of the output square, at least 1.
+    size : pixel width and height of the output square, an integer from
+        1 to ``MAX_SIZE``; a bool is not a size.
     labels : draw vertex ids at their wrapped positions.
     highlight_flipped : fill faces with negative signed area.
     """
-    if size < 1:
-        raise ValueError("size must be a positive integer")
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or not 0 < size <= MAX_SIZE:
+        raise ValueError(f"size must be a positive integer, at most {MAX_SIZE}")
+    size = int(size)
     vecs = edge_vectors(mesh, placement)
     pos = np.mod(placement.coords, 1.0)
 
@@ -106,8 +164,8 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
                         f'points="{pts}" fill="#e4572e" fill-opacity="0.45" stroke="none"/>'
                     )
 
-    # Edges go in blocks, which keep the clip arrays and the boxed
-    # arguments of each % small.
+    # Edges go in blocks, which keep the clip arrays and the records small.
+    id_digits = _decimal(np.arange(mesh.vertex_count))
     drawn = np.flatnonzero(mesh.directed_edges[:, 0] <= mesh.directed_edges[:, 1])
     for start in range(0, len(drawn), _BLOCK):
         edges = drawn[start : start + _BLOCK]
@@ -126,10 +184,7 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
         # Pixel x is x * size and pixel y is (1 - y) * size.
         px = np.where([True, False, True, False], ends, 1.0 - ends) * size
         n = np.bincount(row[keep], minlength=len(edges))
-        # Each edge's ids as ints, then the pixel floats of its pieces.
-        ids = mesh.directed_edges[edges].ravel()
-        args = np.insert(px.ravel().astype(object), np.repeat(4 * (np.cumsum(n) - n), 2), ids)
-        parts.append("\n".join(map(_GROUPS.__getitem__, n.tolist())) % tuple(args))
+        parts.append(_write_groups(mesh.directed_edges[edges], n, px, id_digits)[:-1].decode())
 
     if labels:
         # np.mod gives exactly 1.0 for tiny negative coordinates; that is 0.0

@@ -1,4 +1,3 @@
-import importlib
 import json
 
 import numpy as np
@@ -6,15 +5,14 @@ import pytest
 
 import helpers
 import torustutte.cli
+import torustutte.geometry
 import torustutte.mvc
-import torustutte.tutte
 from torustutte import (
     Placement,
     WeightAssignment,
     gen_grid,
     perturb,
     uniform_weights,
-    verify_embedding,
 )
 from torustutte.cli import main
 from torustutte.serialize import (
@@ -620,17 +618,16 @@ def test_morph_retract_failure_exit_code(tmp_path, capsys):
 
 
 def count_certificates(monkeypatch):
-    """Count verify_embedding calls from every module that imports it."""
+    """Count the certificate helper behind verify_embedding and mean_value_weights."""
     calls = [0]
+    inner = torustutte.geometry._certificate
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return verify_embedding(*args, **kwargs)
+        return inner(*args, **kwargs)
 
-    # the package's ``morph`` attribute is the function, so fetch the module
-    modules = (torustutte.cli, importlib.import_module("torustutte.morph"), torustutte.mvc)
-    for module in (*modules, torustutte.tutte):
-        monkeypatch.setattr(module, "verify_embedding", counted)
+    for module in (torustutte.geometry, torustutte.mvc):
+        monkeypatch.setattr(module, "_certificate", counted)
     return calls
 
 

@@ -126,6 +126,20 @@ def test_flow_constants_uniform_grid(grid3):
     )
 
 
+def test_flow_constants_log_form():
+    """The log fields stay finite where decay_rate underflows, and match it where it does not."""
+    rng = np.random.default_rng(0)
+    mesh, _ = gen_grid(32)
+    constants = flow_constants(mesh, WeightAssignment(rng.uniform(0.5, 2.0, len(mesh.shifts))))
+    assert constants.decay_rate == 0.0 and constants.time_bound == math.inf
+    assert math.isfinite(constants.log_decay_rate) and math.isfinite(constants.log_time_bound)
+    mesh, _ = gen_grid(3)
+    constants = flow_constants(mesh, WeightAssignment(rng.uniform(0.5, 2.0, len(mesh.shifts))))
+    assert constants.decay_rate > 0.0
+    assert math.exp(constants.log_decay_rate) == pytest.approx(constants.decay_rate, rel=1e-12)
+    assert math.exp(constants.log_time_bound) == pytest.approx(constants.time_bound, rel=1e-12)
+
+
 def test_flow_constants_computes_energy(grid3):
     mesh, _ = grid3
     weights = single_asymmetry(mesh)

@@ -274,6 +274,10 @@ def test_shift_outside_int32_names_its_edge(grid3):
         shifts = {**helpers.canonical_shift_dict(mesh), (0, 3): (0, value)}
         with pytest.raises(MeshError, match=rf"^shift \(0, {value}\) of edge \(0, 3\) does not"):
             build_mesh([tuple(f) for f in mesh.faces], shifts)
+    # whole floats, as a JSON document may hold them, are named as integers
+    shifts = {**helpers.canonical_shift_dict(mesh), (0.0, 3.0): (0, 2.0**31)}
+    with pytest.raises(MeshError, match=r"^shift \(0, 2147483648\) of edge \(0, 3\) does not"):
+        build_mesh([tuple(f) for f in mesh.faces], shifts)
     # vertex 0 moved 2**31 - 2 along x: its shifts reach +-(2**31 - 1)
     moved = helpers.regauged(mesh, [(2**31 - 2, 0)] + [(0, 0)] * 8)
     assert np.abs(moved.shifts).max() == 2**31 - 1
@@ -549,6 +553,16 @@ def corrupted_inputs():
     yield "conflict", faces, {**shifts, seam[::-1]: shifts[seam]}, None
     yield "cocycle", faces, {**shifts, seam: (shifts[seam][0], shifts[seam][1] + 1)}, None
     yield "zero shifts", faces, {}, None
+    # both faces of edge 4-8, (4, 5, 8) and (4, 8, 7), carry no other shift
+    yield "lone shift", faces, {**shifts, (4, 8): (0, 1)}, None
+    yield "explicit zero shifts", faces, {(int(i), int(j)): (0, 0) for i, j in mesh.directed_edges}, None
+    # two conflicting pairs, the later one in corner order listed first,
+    # and a cocycle violation that is never reached
+    yield "conflicts and cocycle", faces, {
+        (6, 5): shifts[(5, 6)], **shifts, seam[::-1]: shifts[seam], (4, 8): (0, 1)
+    }, None
+    yield "non-edge and conflict", faces, {seam[::-1]: shifts[seam], **shifts, (0, 5): (1, 0)}, None
+    yield "whole-float non-edge", faces, {**shifts, (0.0, 5.0): (1, 0)}, None
 
 
 @pytest.mark.parametrize("name, faces, shifts, vertex_count", list(corrupted_inputs()))

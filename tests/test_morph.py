@@ -135,19 +135,23 @@ def test_morph_factor_count_pinned(monkeypatch):
 
 @pytest.mark.parametrize("steps", [2, 3, 5])
 def test_morph_certifies_each_placement_once(grid4, monkeypatch, steps):
-    """n frames take n + 2 certificates: one per frame and one per endpoint."""
+    """n frames take n + 2 certificates: one per frame and one per endpoint.
+
+    Counts the certificate helper behind both verify_embedding and
+    mean_value_weights.
+    """
     mesh, placement = grid4
     start = perturb(mesh, placement, 0.075, seed=1)
     end = perturb(mesh, placement, 0.075, seed=2)
     calls = [0]
-    inner = torustutte.geometry.verify_embedding
+    inner = torustutte.geometry._certificate
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
 
-    for module in (importlib.import_module("torustutte.morph"), torustutte.mvc, torustutte.tutte):
-        monkeypatch.setattr(module, "verify_embedding", counted)
+    for module in (torustutte.geometry, torustutte.mvc):
+        monkeypatch.setattr(module, "_certificate", counted)
     assert len(morph(mesh, start, end, steps)) == steps
     assert calls[0] == steps + 2
 

@@ -137,7 +137,9 @@ def test_y_axis_points_up(grid3):
     assert y_by_label["6"] < y_by_label["0"]
 
 
-@pytest.mark.parametrize("size", [0, -5])
+@pytest.mark.parametrize(
+    "size", [0, -5, 2.5, 800.0, True, False, "800", None, render.MAX_SIZE + 1]
+)
 def test_non_positive_size_rejected(grid3, size):
     mesh, placement = grid3
     with pytest.raises(ValueError, match="size must be a positive integer"):
@@ -168,7 +170,16 @@ def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
     # exactly 1, so it leaves pieces on the right seam although min x > 0
     rounded = seam.coords.copy()
     rounded[[0, 3, 6], 0] = 1e-20
+    # vertex 1 on vertex 0: edge 0-1 has no piece, an empty group
+    collapsed = seam.coords.copy()
+    collapsed[1] = 0.0
+    # pixel values on ties of %.3f at size 1: 0.0625 -> 0.062, 0.6875 -> 0.688
+    ties = seam.coords.copy()
+    ties[4] = [0.0625, 0.3125]
+    # the clip leaves one x of -1.4e-17, written -0.000
+    negative = perturb(*gen_grid(4), 0.1, seed=7)
     big, start = gen_grid(32)
+    huge = gen_grid(101)
     cases = [
         # vertices on the seam lines: den == 0 with num == 0, single-point pieces
         (grid3, {}),
@@ -187,10 +198,42 @@ def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
         (folded, {"highlight_flipped": False}),
         ((diagonal, Placement(coords)), {}),
         (bumpy4, {"size": 400, "labels": True}),
+        ((mesh3, Placement(collapsed)), {}),
+        ((mesh3, Placement(ties)), {"size": 1}),
+        ((gen_grid(4)[0], negative), {"size": 1}),
+        (huge, {}),
+        (bumpy3, {"size": 10**6}),
+        (bumpy3, {"size": render.MAX_SIZE}),
+        (bumpy3, {"size": np.int32(64)}),
     ]
     for (mesh, placement), kwargs in cases:
         expected = helpers.oracle_render_svg(mesh, placement, **kwargs)
         assert render_svg(mesh, placement, **kwargs) == expected, kwargs
+    # the cases above reach what they are meant to
+    assert '<g class="edge" data-edge="0-1"></g>' in render_svg(mesh3, Placement(collapsed))
+    assert '"0.062"' in render_svg(mesh3, Placement(ties), size=1)
+    assert '"-0.000"' in render_svg(gen_grid(4)[0], negative, size=1)
+    assert 'data-edge="10199-10200"' in render_svg(*huge)
+
+
+def test_numbers_match_percent_format():
+    """The byte writer prints what %.3f and %d print, on ties and signed zeros too."""
+    rng = np.random.default_rng(3)
+    values = np.concatenate([
+        [-1e-17, -0.0, 0.0, 0.0625, 0.0005, 0.0015, 999.9995, 1e6 - 5e-4, 2.5e-4, 1e15, 1.5, -2.25],
+        rng.integers(0, 2**24, 200) / 2**11,
+        (rng.integers(0, 10**7, 200) + 0.5) / 1000 + rng.normal(0, 1e-12, 200),
+        rng.uniform(-1e-3, 1e3, 200),
+    ]).reshape(-1, 4)
+    ids = rng.integers(0, 12345, (len(values), 2))
+    ids[0] = [0, 12344]
+    digits = render._decimal(np.arange(12345))
+    text = render._write_groups(ids, np.ones(len(values), dtype=int), values, digits).decode()
+    expected = "".join(
+        f'<g class="edge" data-edge="{i}-{j}">' + render._LINE % tuple(v) + "</g>\n"
+        for (i, j), v in zip(ids.tolist(), values.tolist())
+    )
+    assert text == expected
 
 
 def test_blocks_of_edge_groups_join_seamlessly(bumpy4, monkeypatch):
