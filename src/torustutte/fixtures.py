@@ -8,7 +8,7 @@ and the shift of an edge is the change of translate along it.
 import numpy as np
 
 from .errors import NotEmbeddedError, PerturbFailedError
-from .geometry import Placement, verify_embedding
+from .geometry import MAX_COORD, Placement, verify_embedding
 from .mesh import build_mesh
 
 
@@ -72,11 +72,14 @@ def perturb(mesh, placement, magnitude, seed):
     result is not an embedding the magnitude halves, reusing the same
     field; after 20 halvings PerturbFailedError is raised. Requires an
     embedded input, which guarantees termination for small enough
-    magnitudes; a magnitude that is negative or not finite is a
-    ValueError.
+    magnitudes; a magnitude that is negative, not finite or above
+    ``MAX_COORD`` is a ValueError.
     """
-    if not 0.0 <= magnitude < np.inf:
-        raise ValueError(f"perturb magnitude must be finite and non-negative, got {magnitude}")
+    if not 0.0 <= magnitude <= MAX_COORD:
+        raise ValueError(
+            f"perturb magnitude must be finite, non-negative and at most {MAX_COORD:g}, "
+            f"got {magnitude}"
+        )
     if not verify_embedding(mesh, placement).is_embedding:
         raise NotEmbeddedError("perturb requires an embedded placement")
     rng = np.random.default_rng(seed)

@@ -14,13 +14,19 @@ import numpy as np
 
 AREA_TOL = 1e-12
 TOTAL_AREA_TOL = 1e-9
+# The largest coordinate magnitude a placement takes. With int32 shifts a
+# lifted edge component stays below 2 * MAX_COORD + 2**31, so a cross or
+# dot product of two stays below 1e201, and the area sum over fewer than
+# 2**31 faces below 1e211: far inside float range.
+MAX_COORD = 1e100
 
 
 class Placement:
     """Lifted vertex coordinates, one row per vertex.
 
     ``anchored`` is true when vertex 0 sits exactly at the origin,
-    the normalization the balance solver produces.
+    the normalization the balance solver produces. Coordinates must be
+    finite and at most ``MAX_COORD`` in magnitude.
     """
 
     def __init__(self, coords):
@@ -29,6 +35,13 @@ class Placement:
             raise ValueError("coords must be an (n, 2) array")
         if not np.isfinite(coords).all():
             raise ValueError("coords must be finite")
+        wide = np.abs(coords) > MAX_COORD
+        if wide.any():
+            v, axis = divmod(int(np.argmax(wide)), 2)
+            value = float(coords[v, axis])
+            raise ValueError(
+                f"coordinate {value!r} of vertex {v} exceeds {MAX_COORD:g} in magnitude"
+            )
         self.coords = coords
         self.anchored = bool(coords[0, 0] == 0.0 and coords[0, 1] == 0.0)
 

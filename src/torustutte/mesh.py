@@ -14,6 +14,11 @@ V = F/2, and is immutable after construction. :func:`generator_loops`
 finds the shortest closed walks through vertex 0 of both classes by one
 breadth-first search over the cover graph, in the gauge of a
 breadth-first tree from vertex 0.
+
+Both graph searches are NumPy array passes, so the module needs no
+SciPy: connectivity by hook and shortcut over the edge list, in rounds
+that grow like log V, and the breadth-first tree one level at a time
+over the rotation's CSR arrays.
 """
 
 import math
@@ -25,8 +30,6 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import (
     BadFaceError,
@@ -224,10 +227,7 @@ class TorusTriangulation:
                 raise DisconnectedError(f"vertex {v} lies in no face")
             raise NonManifoldVertexError(f"faces around vertex {v} form more than one cycle")
 
-        graph = scipy.sparse.csr_matrix(
-            (np.ones(len(ring)), directed[:, 1], offsets), shape=(vertex_count, vertex_count)
-        )
-        if connected_components(graph, directed=False, return_labels=False) > 1:
+        if not _connected(directed[:, 0], directed[:, 1], vertex_count):
             raise DisconnectedError("one-skeleton is not connected")
 
         directed, offsets = directed.astype(np.int32), offsets.astype(np.int32)
@@ -339,6 +339,60 @@ def _integral(values, name):
     return array
 
 
+def _connected(src, dst, n):
+    """Whether the graph on n vertices with symmetric edge list (src, dst)
+    is connected.
+
+    Hook and shortcut (Shiloach & Vishkin, J. Algorithms 1982): every
+    root takes the smallest root next to its tree, then every vertex
+    jumps to its root. A tree that neither hooks nor is hooked onto has
+    only larger neighbors, which hook onto smaller roots, so it hooks in
+    the next round: the trees at least halve every two rounds, and the
+    rounds grow like log V, where a level search takes one per level.
+    """
+    root = np.arange(n)
+    while root.any():
+        hooked = root.copy()
+        np.minimum.at(hooked, root[src], root[dst])
+        if (hooked == root).all():
+            return False
+        root = hooked
+        while (root[root] != root).any():
+            root = root[root]
+    return True
+
+
+def _breadth_first_tree(offsets, targets):
+    """Parent edge of every vertex in a breadth-first tree from vertex 0.
+
+    ``targets[offsets[v]:offsets[v + 1]]`` are the neighbors of v, and
+    the result holds positions in ``targets``, -1 at vertex 0 and at
+    vertices it does not reach. One level at a time: each new vertex
+    keeps the first edge that reaches it from the previous level, in
+    queue order and then row order, and the new level is queued in
+    that order, so the tree is the one a queue-based search gives.
+    """
+    n = len(offsets) - 1
+    degree, count = np.diff(offsets), np.arange(len(targets))
+    parent = np.full(n, -1, dtype=np.int64)
+    # -1 once reached; otherwise, within a level, the vertex's first edge in the list
+    first = np.full(n, len(targets))
+    first[0] = -1
+    level = np.zeros(1, dtype=np.int64)
+    while len(level):
+        lo, size = offsets[level], degree[level]
+        ends = np.cumsum(size)
+        edges = count[:ends[-1]] + np.repeat(lo - ends + size, size)
+        heads = targets[edges]
+        order = count[:len(edges)]
+        np.minimum.at(first, heads, order)
+        keep = first[heads] == order
+        first[heads] = -1  # every head is reached by the end of this level
+        edges, level = edges[keep], heads[keep]
+        parent[level] = edges
+    return parent
+
+
 def build_mesh(faces, shifts=None, vertex_count=None):
     """Validate faces and shifts and return a :class:`TorusTriangulation`.
 
@@ -378,16 +432,11 @@ def generator_loops(mesh):
     """
     cached = mesh._cache.get("generator_loops")
     if cached is None:
-        n = mesh.vertex_count
         src, dst = mesh.directed_edges.T.copy()
-        graph = scipy.sparse.csr_matrix(
-            (np.ones(len(src)), dst, mesh.rotation_offsets), shape=(n, n)
-        )
-        pred = breadth_first_order(graph, 0, return_predecessors=True)[1]
-        tree = mesh.edge_ids(pred, np.arange(n))
+        tree = _breadth_first_tree(mesh.rotation_offsets, dst)
         p = np.where(tree[:, None] >= 0, mesh.shifts[tree], 0).astype(np.int64)
         # Pointer doubling: p[v] sums the path from v up to up[v].
-        up = np.maximum(pred, 0)
+        up = np.where(tree >= 0, src[tree], 0)
         while up.any():
             p, up = p + p[up], up[up]
         c = p[src] + mesh.shifts - p[dst]

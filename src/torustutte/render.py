@@ -9,7 +9,8 @@ clipping all nine edge by edge. The block's edge groups are then
 written as one array of byte-string records, one per piece, with the
 digits of every number looked up in tables; the bytes are those
 ``%.3f`` and ``%d`` write. Faces with negative signed area are filled as a warning layer
-under the edges.
+under the edges, clipped one (face, translate) pair at a time where
+the pair's bounding box meets the square.
 """
 
 import numbers
@@ -104,6 +105,16 @@ def _clip_segments(p, q):
     return a, b, keep
 
 
+def _meeting_translates(lo, hi):
+    """(row, k) of every row's unit translate ``_OFFSETS[k]`` under which the
+    closed box [lo, hi], (N, 2) arrays, meets [0, 1]^2, in (row, k) order.
+    lo + o rounds as the clip's x + ox does, so a row left out is one whose
+    clip keeps nothing."""
+    meets = np.stack([(lo + o <= 1.0) & (hi + o >= 0.0) for o in (-1.0, 0.0, 1.0)], axis=1)
+    reach = meets[:, :, None, 0] & meets[:, None, :, 1]
+    return np.divmod(np.flatnonzero(reach), len(_OFFSETS))
+
+
 def _clip_polygon(points):
     """Sutherland-Hodgman clip of a polygon to the unit square."""
     for axis in (0, 1):
@@ -151,18 +162,22 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
     ]
 
     if highlight_flipped:
-        for fi in np.flatnonzero(_signed_areas(vecs[mesh.face_edges]) < 0):
-            base = pos[mesh.faces[fi][0]]
-            e_ij, e_jk, _ = mesh.face_edges[fi]
-            tri = [tuple(base), tuple(base + vecs[e_ij]), tuple(base + vecs[e_ij] + vecs[e_jk])]
-            for ox, oy in _OFFSETS:
-                poly = _clip_polygon([(x + ox, y + oy) for x, y in tri])
-                if len(poly) >= 3:
-                    pts = " ".join(f"{x * size:.3f},{(1.0 - y) * size:.3f}" for x, y in poly)
-                    parts.append(
-                        f'<polygon class="flipped" data-face="{int(fi)}" '
-                        f'points="{pts}" fill="#e4572e" fill-opacity="0.45" stroke="none"/>'
-                    )
+        flipped = np.flatnonzero(_signed_areas(vecs[mesh.face_edges]) < 0)
+        base = pos[mesh.faces[flipped, 0]]
+        mid = base + vecs[mesh.face_edges[flipped, 0]]
+        tris = np.stack([base, mid, mid + vecs[mesh.face_edges[flipped, 1]]], axis=1)
+        # Clip only the (face, translate) pairs whose bounding box meets the
+        # square. Rounding is monotone, so the box of the shifted points is
+        # the shifted box; a box that only touches the square is still clipped.
+        for row, k in zip(*_meeting_translates(tris.min(axis=1), tris.max(axis=1))):
+            ox, oy = _OFFSETS[k]
+            poly = _clip_polygon([(x + ox, y + oy) for x, y in tris[row].tolist()])
+            if len(poly) >= 3:
+                pts = " ".join(f"{x * size:.3f},{(1.0 - y) * size:.3f}" for x, y in poly)
+                parts.append(
+                    f'<polygon class="flipped" data-face="{int(flipped[row])}" '
+                    f'points="{pts}" fill="#e4572e" fill-opacity="0.45" stroke="none"/>'
+                )
 
     # Edges go in blocks, which keep the clip arrays and the records small.
     id_digits = _decimal(np.arange(mesh.vertex_count))
@@ -171,14 +186,8 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
         edges = drawn[start : start + _BLOCK]
         a = pos[mesh.directed_edges[edges, 0]]
         b = a + vecs[edges]
-        # Clip only the translates whose shifted closed x and y ranges meet
-        # [0, 1]. lo + o and hi + o round as the clip's a + offset does, so
-        # each row left out is one the clip rejects; rows stay in (edge,
-        # translate) order.
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        meets = np.stack([(lo + o <= 1.0) & (hi + o >= 0.0) for o in (-1.0, 0.0, 1.0)], axis=1)
-        reach = meets[:, :, None, 0] & meets[:, None, :, 1]
-        row, k = np.divmod(np.flatnonzero(reach), len(_OFFSETS))
+        # Clip only the translates under which the edge's box meets [0, 1]^2.
+        row, k = _meeting_translates(np.minimum(a, b), np.maximum(a, b))
         p, q, keep = _clip_segments(a[row] + _SHIFTS[k], b[row] + _SHIFTS[k])
         ends = np.hstack([p[keep], q[keep]])
         # Pixel x is x * size and pixel y is (1 - y) * size.

@@ -48,6 +48,10 @@ A solve that is not finite raises NonFiniteStateError once finished.
 
 Only ``_finish`` compares the energy with ``ADMISSIBLE_TOL``, read when
 it runs; every admissibility verdict is the report's ``zero_residual``.
+
+``_factor`` is the package's one SciPy user, and imports ``scipy.sparse``
+and ``splu`` when it first runs, so importing the package, and every
+command that solves nothing, stays clear of SciPy's import cost.
 """
 
 import math
@@ -55,8 +59,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.linalg import splu
 
 from .errors import (
     EmbeddingCheckFailedError,
@@ -200,11 +202,15 @@ def _factor(mesh, values, pattern):
     gives the stationary vector pi with pi_0 = 1, and the closed form
     gives the energy from d = pi^T b. ``pattern`` is ``_pattern(mesh)``.
     Nonfinite values pass through: the caller decides what they mean.
+    SciPy loads at the first call.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     arrays, rhs = _assemble(mesh, values, pattern)
     try:
         lu = splu(
-            scipy.sparse.csc_matrix(arrays),
+            csc_matrix(arrays),
             permc_spec="MMD_AT_PLUS_A",
             relax=4,
             panel_size=1,

@@ -12,8 +12,10 @@ from collections import deque
 
 import numpy as np
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import breadth_first_order
 
 from torustutte import (
+    GeneratorLoops,
     Placement,
     build_mesh,
     edge_vectors,
@@ -113,6 +115,27 @@ def random_diagonal_grid(m, rng):
                 for a, b in zip(tri, tri[1:] + tri[:1]):
                     shift = (offs[b][0] - offs[a][0], offs[b][1] - offs[a][1])
                     shifts[(ids[a], ids[b])] = shift
+    return faces, shifts
+
+
+def strip_torus(rows, cols, first=0):
+    """rows x cols grid torus, ids from ``first``: (faces, shifts).
+
+    Vertex first + x + cols*y sits at (x/cols, y/rows); each cell is split
+    along its (+1, +1) diagonal and wrapping edges carry their shift.
+    """
+    faces, shifts = [], {}
+    for y in range(rows):
+        for x in range(cols):
+            corners = ((x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1))
+            ids = [first + cx % cols + cols * (cy % rows) for cx, cy in corners]
+            offs = [(cx // cols, cy // rows) for cx, cy in corners]
+            for tri in ((0, 1, 2), (0, 2, 3)):
+                faces.append(tuple(ids[t] for t in tri))
+                for a, b in zip(tri, tri[1:] + tri[:1]):
+                    shift = (offs[b][0] - offs[a][0], offs[b][1] - offs[a][1])
+                    if shift != (0, 0):
+                        shifts[(ids[a], ids[b])] = shift
     return faces, shifts
 
 
@@ -423,6 +446,56 @@ def oracle_shortest_loop(mesh, target):
                 found = parent[found]
             best = tuple(reversed(path))
     return best
+
+
+def csgraph_predecessors(mesh):
+    """Breadth-first predecessors from vertex 0 by SciPy's csgraph, -9999 at the root."""
+    n, targets = mesh.vertex_count, mesh.directed_edges[:, 1].copy()
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(len(targets)), targets, mesh.rotation_offsets), shape=(n, n)
+    )
+    return breadth_first_order(graph, 0, return_predecessors=True)[1]
+
+
+def csgraph_generator_loops(mesh):
+    """``generator_loops`` as it was with SciPy's breadth-first tree, uncached.
+
+    The reference for the NumPy tree search: the same (vertex, sum of c)
+    state search, in the gauge of csgraph's tree, edges found by lookup.
+    """
+    n = mesh.vertex_count
+    src, dst = mesh.directed_edges.T.copy()
+    pred = csgraph_predecessors(mesh)
+    tree = mesh.edge_ids(pred, np.arange(n))
+    p = np.where(tree[:, None] >= 0, mesh.shifts[tree], 0).astype(np.int64)
+    up = np.maximum(pred, 0)
+    while up.any():
+        p, up = p + p[up], up[up]
+    c = p[src] + mesh.shifts - p[dst]
+    ring = mesh.rotation_edges
+    moves = np.column_stack([dst[ring], c[ring]]).tolist()
+    bounds = mesh.rotation_offsets.tolist()
+    steps = [tuple(map(tuple, moves[a:b])) for a, b in zip(bounds, bounds[1:])]
+    horizontal, vertical = (0, 1, 0), (0, 0, 1)
+    parent = {(0, 0, 0): None}
+    queue = deque(parent)
+    while horizontal not in parent or vertical not in parent:
+        state = queue.popleft()
+        v, x, y = state
+        for u, cx, cy in steps[v]:
+            move = (u, x + cx, y + cy)
+            if move not in parent:
+                parent[move] = state
+                queue.append(move)
+
+    def walk(goal):
+        path, state = [], parent[goal]
+        while state is not None:
+            path.append(state[0])
+            state = parent[state]
+        return tuple(reversed(path))
+
+    return GeneratorLoops(horizontal=walk(horizontal), vertical=walk(vertical))
 
 
 # ---------------------------------------------------------------------------

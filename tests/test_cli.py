@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,17 +144,73 @@ def test_bad_tol_exit_code(workspace, tmp_path, capsys, command, tol):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("magnitude", ["nan", "-0.1", "inf"])
+@pytest.mark.parametrize("magnitude", ["nan", "-0.1", "inf", "1e200", "1e308"])
 def test_gen_bad_perturb_exit_code(tmp_path, capsys, magnitude):
-    """A perturbation that is negative or not finite is an input error, raised before any write."""
+    """A perturbation that is negative, not finite or so large that face areas
+    would overflow is an input error, raised before any write."""
     code, out = run(capsys, [
         "gen", "--size", 3, "--out-mesh", tmp_path / "m.json",
         "--out-placement", tmp_path / "p.json", "--perturb", magnitude,
     ])
     assert code == 2
-    assert f"got {magnitude}" in out.err
+    assert f"got {float(magnitude)}" in out.err
     assert "Warning" not in out.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("corner", [(1e200, -1e200), (1e308, 1e308)])
+@pytest.mark.parametrize("command", ["validate", "mvc", "index", "render"])
+def test_overflowing_placement_exit_code(workspace, tmp_path, capsys, command, corner):
+    """A coordinate whose face areas would overflow is an input error naming it,
+    raised as the placement is read, before any warning or write."""
+    mesh, placement, paths = workspace
+    coords = placement.coords.tolist()
+    coords[5] = list(corner)
+    big = tmp_path / "big.json"
+    dump_json({"coords": coords}, big)
+    outputs = {
+        "mvc": ["--out-weights", tmp_path / "w.json"],
+        "render": ["--out", tmp_path / "p.svg"],
+    }
+    argv = [command, "--mesh", paths["mesh"], "--placement", big, *outputs.get(command, [])]
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert out.err == f"error: coordinate {corner[0]!r} of vertex 5 exceeds 1e+100 in magnitude\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json", "mesh.json", "weights.json"]
+
+
+def test_commands_without_a_solve_do_not_load_scipy(tmp_path):
+    """gen, validate, mvc, index and render start and run without SciPy, in a
+    fresh interpreter; embed loads it at its solve."""
+    script = """
+import json, sys
+import torustutte, torustutte.cli, torustutte.serialize
+from torustutte.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {"import": loaded()}
+run("gen", "--size", "5", "--perturb", "0.05", "--out-mesh", "m.json", "--out-placement", "p.json")
+run("validate", "--mesh", "m.json", "--placement", "p.json")
+run("mvc", "--mesh", "m.json", "--placement", "p.json", "--out-weights", "w.json")
+run("index", "--mesh", "m.json", "--placement", "p.json")
+run("render", "--mesh", "m.json", "--placement", "p.json", "--out", "p.svg")
+seen["commands"] = loaded()
+run("embed", "--mesh", "m.json", "--weights", "w.json", "--out-placement", "e.json")
+seen["embed"] = "scipy.sparse.linalg" in sys.modules
+sys.stderr.write(json.dumps(seen))
+"""
+    src = str(Path(torustutte.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], cwd=tmp_path, capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr) == {"import": [], "commands": [], "embed": True}
 
 
 def test_retract_flow(workspace, tmp_path, capsys):

@@ -11,7 +11,7 @@ from torustutte import (
     verify_embedding,
     vertex_angle_defects,
 )
-from torustutte.geometry import _corner_angles
+from torustutte.geometry import MAX_COORD, _corner_angles
 
 
 def corner_angles(mesh, placement):
@@ -42,6 +42,20 @@ def test_placement_rejects_nonfinite():
         Placement([[0.0, 0.0], [np.nan, 0.0]])
     with pytest.raises(ValueError):
         Placement([[0.0, 0.0], [np.inf, 1.0]])
+
+
+def test_placement_coordinates_at_the_bound(grid4):
+    """MAX_COORD is accepted, with finite areas and angles under the suite's
+    RuntimeWarning filter; the next float up is rejected, naming it."""
+    mesh, placement = grid4
+    coords = placement.coords.copy()
+    coords[5] = [MAX_COORD, -MAX_COORD]
+    report = verify_embedding(mesh, Placement(coords))
+    assert np.isfinite(report.face_areas).all() and math.isfinite(report.total_area)
+    assert np.isfinite(vertex_angle_defects(mesh, Placement(coords))).all()
+    coords[5, 1] = -np.nextafter(MAX_COORD, np.inf)
+    with pytest.raises(ValueError, match="^coordinate -1.0000000000000002e\\+100 of vertex 5 "):
+        Placement(coords)
 
 
 def test_size_mismatch_rejected(grid3):

@@ -226,6 +226,42 @@ def test_disconnected_pair_of_tori(grid3):
         build_mesh(faces + shifted, shifts)
 
 
+@functools.cache
+def long_strip():
+    """The 3 x 20 000 strip torus: 60 000 vertices, and 10 000 breadth-first levels."""
+    return helpers.strip_torus(3, 20_000)
+
+
+def test_long_strip_validates():
+    faces, shifts = long_strip()
+    mesh = build_mesh(faces, shifts)
+    assert (mesh.vertex_count, mesh.edge_count, len(mesh.faces)) == (60_000, 180_000, 120_000)
+
+
+def test_disconnected_pair_of_strips():
+    faces, shifts = helpers.strip_torus(3, 2_000)
+    other_faces, other_shifts = helpers.strip_torus(3, 2_000, first=6_000)
+    with pytest.raises(DisconnectedError, match="^one-skeleton is not connected$"):
+        build_mesh(faces + other_faces, {**shifts, **other_shifts})
+
+
+def relabeled(faces, shifts, perm):
+    moved = {(int(perm[i]), int(perm[j])): b for (i, j), b in shifts.items()}
+    return [tuple(int(perm[v]) for v in f) for f in faces], moved
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_connectivity_does_not_depend_on_the_labels(seed):
+    """Hook and shortcut answers the same on any relabeling of the vertices."""
+    rng = np.random.default_rng(seed)
+    faces, shifts = helpers.strip_torus(3, 200)
+    build_mesh(*relabeled(faces, shifts, rng.permutation(600)))
+    other_faces, other_shifts = helpers.strip_torus(4, 100, first=600)
+    pair = relabeled(faces + other_faces, {**shifts, **other_shifts}, rng.permutation(1_000))
+    with pytest.raises(DisconnectedError, match="^one-skeleton is not connected$"):
+        build_mesh(*pair)
+
+
 def test_shift_on_nonedge_rejected(grid3):
     mesh, _ = grid3
     shifts = helpers.canonical_shift_dict(mesh)
@@ -350,6 +386,23 @@ def test_generator_loops_k7(k7):
     assert helpers.brute_shortest_loop(mesh, (1, 0), 6) is None
 
 
+@pytest.mark.parametrize("kind, m, seed", [
+    *(("grid", m, None) for m in range(3, 33)),
+    ("k7", 7, None),
+    *(("diagonal", m, seed) for m, seed in ((5, 5), (8, 11), (12, 12), (16, 0), (18, 3))),
+])
+def test_breadth_first_tree_is_csgraphs(kind, m, seed):
+    """The level search keeps the parents a queue-based search finds."""
+    if kind == "diagonal":
+        mesh = build_mesh(*helpers.random_diagonal_grid(m, np.random.default_rng(seed)))
+    else:
+        mesh = (gen_k7() if kind == "k7" else gen_grid(m))[0]
+    tree = torustutte.mesh._breadth_first_tree(mesh.rotation_offsets, mesh.directed_edges[:, 1])
+    pred = np.where(tree >= 0, mesh.directed_edges[tree, 0], -9999)
+    assert np.array_equal(pred, helpers.csgraph_predecessors(mesh))
+    assert (tree >= 0).sum() == mesh.vertex_count - 1
+
+
 def test_generator_loops_cached(grid3):
     mesh, _ = grid3
     assert generator_loops(mesh) is generator_loops(mesh)
@@ -424,6 +477,12 @@ def test_loops_match_all_starts_oracle(name, mesh):
             assert len(loop) == len(expected)
         elif expected is not None:
             assert len(loop) <= len(expected)
+
+
+@pytest.mark.parametrize("name, mesh", loop_search_inputs())
+def test_loops_match_csgraph_search(name, mesh):
+    """The walks are those of the search in the gauge of SciPy's tree."""
+    assert generator_loops(mesh) == helpers.csgraph_generator_loops(mesh)
 
 
 @pytest.mark.parametrize("spread", [30, 10**4, 10**6])

@@ -146,7 +146,7 @@ def test_non_positive_size_rejected(grid3, size):
         render_svg(mesh, placement, size=size)
 
 
-def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
+def test_matches_scalar_renderer(grid3, grid4, bumpy3, bumpy4, k7):
     """Vectorized clipping writes the same bytes as nine scalar clips per edge."""
     mesh3, seam = grid3
     folded = folded_grid3(grid3)
@@ -176,6 +176,12 @@ def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
     # pixel values on ties of %.3f at size 1: 0.0625 -> 0.062, 0.6875 -> 0.688
     ties = seam.coords.copy()
     ties[4] = [0.0625, 0.3125]
+    # flipped face 1 lies in x <= 0, y >= 0 with max x = 0 and min y = 0: under
+    # the (0, 1) translate its box only touches the square's corner (0, 1),
+    # and the clip leaves four points there
+    mesh4, grid4_place = grid4
+    touching = grid4_place.coords.copy()
+    touching[5] = [-0.125, 0.0]
     # the clip leaves one x of -1.4e-17, written -0.000
     negative = perturb(*gen_grid(4), 0.1, seed=7)
     big, start = gen_grid(32)
@@ -202,6 +208,7 @@ def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
         ((mesh3, Placement(ties)), {"size": 1}),
         ((gen_grid(4)[0], negative), {"size": 1}),
         (huge, {}),
+        ((mesh4, Placement(touching)), {}),
         (bumpy3, {"size": 10**6}),
         (bumpy3, {"size": render.MAX_SIZE}),
         (bumpy3, {"size": np.int32(64)}),
@@ -214,6 +221,8 @@ def test_matches_scalar_renderer(grid3, bumpy3, bumpy4, k7):
     assert '"0.062"' in render_svg(mesh3, Placement(ties), size=1)
     assert '"-0.000"' in render_svg(gen_grid(4)[0], negative, size=1)
     assert 'data-edge="10199-10200"' in render_svg(*huge)
+    corner = 'data-face="1" points="0.000,0.000 0.000,0.000 0.000,0.000 0.000,0.000"'
+    assert corner in render_svg(mesh4, Placement(touching))
 
 
 def test_numbers_match_percent_format():
