@@ -9,7 +9,7 @@ both wrap directions.
 
 import numpy as np
 
-from torustutte import gen_grid, gen_k7, generator_loops, rotation_order
+from torustutte import gen_grid, gen_k7, generator_loops
 
 mesh, placement = gen_grid(4)
 print("4x4 grid torus")
@@ -18,8 +18,10 @@ print(f"  vertices {mesh.vertex_count}, edges {mesh.edge_count}, "
 print(f"  Euler characteristic "
       f"{mesh.vertex_count - mesh.edge_count + len(mesh.faces)}")
 
-# the rotation system at a vertex lists its neighbours in cyclic order
-ring = [int(j) for _, j in rotation_order(mesh, 0)]
+# the rotation system lists the outgoing edges of each vertex in cyclic
+# order: those of v are rotation_edges[rotation_offsets[v]:rotation_offsets[v + 1]]
+start, end = mesh.rotation_offsets[0:2]
+ring = mesh.directed_edges[mesh.rotation_edges[start:end], 1].tolist()
 print(f"  neighbours of vertex 0 in cyclic order: {ring}")
 
 # loops list vertices cyclically, the edge back to the start is implicit
@@ -35,7 +37,7 @@ k7, k7_placement = gen_k7()
 print("\nK7, the complete graph on 7 vertices")
 print(f"  vertices {k7.vertex_count}, edges {k7.edge_count}, "
       f"faces {len(k7.faces)}")
-degrees = [len(rotation_order(k7, v)) for v in range(k7.vertex_count)]
+degrees = [k7.degree(v) for v in range(k7.vertex_count)]
 print(f"  vertex degrees: {degrees}")
 k7_loops = generator_loops(k7)
 print(f"  generator lengths: {len(k7_loops.horizontal)} and "

@@ -28,5 +28,5 @@ print(f"\nweight range on seed 1: [{weights.values.min():.4f}, "
       f"{weights.values.max():.4f}]")
 
 i, j = map(int, mesh.directed_edges[0])
-row = mesh.edge_index[(i, j)]
+row = int(mesh.edge_ids(i, j))
 print(f"weight of edge ({i}, {j}): {weights.values[row]:.6f}")

@@ -40,7 +40,6 @@ from .mesh import (
     TorusTriangulation,
     build_mesh,
     generator_loops,
-    rotation_order,
 )
 from .morph import MorphReport, morph, verify_morph
 from .mvc import check_balanced, mean_value_weights
@@ -50,7 +49,6 @@ from .oneform import (
     direction_form,
     generic_direction_form,
     index_theorem_check,
-    one_form_from_values,
 )
 from .render import render_svg
 from .tutte import (
@@ -61,7 +59,6 @@ from .tutte import (
     solve_balance,
     tutte_map,
     uniform_weights,
-    weights_from_dict,
 )
 
 __version__ = "0.1.0"

@@ -22,11 +22,8 @@ over the rotation's CSR arrays.
 """
 
 import math
-import operator
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -60,46 +57,6 @@ class GeneratorLoops:
     vertical: tuple
 
 
-class EdgeIndex(Mapping):
-    """Read-only ``{(i, j): position}`` view of sorted directed edges.
-
-    A lookup searches row ``offsets[i]:offsets[i + 1]``, the edges from i
-    sorted by target. ``ids`` builds the sorted int64 keys ``i * n + j``
-    per call; they cannot overflow since a valid mesh has n = E - F.
-    Iteration follows ``directed_edges``. No per-edge key is stored.
-    """
-
-    def __init__(self, directed_edges, offsets):
-        self._edges, self._offsets, self._n = directed_edges, offsets, len(offsets) - 1
-
-    def ids(self, i, j):
-        """Positions of the edges (i, j), broadcast; -1 for non-edges."""
-        n = self._n
-        i, j = (np.asarray(np.clip(np.asarray(x), -1, n), dtype=np.int64) for x in (i, j))
-        keys = np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, -1)
-        edge_keys = self._edges[:, 0].astype(np.int64) * n + self._edges[:, 1]
-        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-        return np.where(edge_keys[pos] == keys, pos, -1)
-
-    def __getitem__(self, edge):
-        try:
-            i, j = map(operator.index, edge)
-        except (TypeError, ValueError):
-            raise KeyError(edge) from None
-        inside = 0 <= i < self._n and 0 <= j < self._n
-        lo, hi = self._offsets[i:i + 2].tolist() if inside else (0, 0)
-        k = lo + int(np.searchsorted(self._edges[lo:hi, 1], j))
-        if k == hi or self._edges[k, 1] != j:
-            raise KeyError(edge)
-        return k
-
-    def __iter__(self):
-        return map(tuple, self._edges.tolist())
-
-    def __len__(self):
-        return len(self._edges)
-
-
 class TorusTriangulation:
     """Validated torus triangulation. Construct through :func:`build_mesh`.
 
@@ -108,24 +65,16 @@ class TorusTriangulation:
     vertex_count : int
     faces : (F, 3) int32 array, counterclockwise vertex triples
     directed_edges : (2E, 2) int32 array in lexicographic (source, target) order
-    edge_index : read-only mapping (i, j) -> position in ``directed_edges``,
-        backed by arrays
-    edge_ids : batched lookup, ``edge_ids(i, j)`` gives the positions of
-        the edges (i, j) broadcast over arrays, -1 for non-edges
     shifts : (2E, 2) int32 array aligned with ``directed_edges``
     reverse_index : (2E,) int32 array, position of each edge's reverse
-    rotation : per-vertex tuple of neighbor ids in counterclockwise order,
-        built on first use
     rotation_offsets, rotation_edges : the rotation as int32 CSR arrays;
         the outgoing edges of v in counterclockwise order are
         ``rotation_edges[rotation_offsets[v]:rotation_offsets[v + 1]]``
     face_edges : (F, 3) int32 array, edge indices of (i->j, j->k, k->i)
-    face_of_edge, opposite_vertex : (2E,) int32 arrays, the face left of
-        each edge and its third vertex, derived from the corner order
 
+    ``edge_ids(i, j)`` looks up the positions of edges in ``directed_edges``.
     Instances are immutable after construction and safe to share between
-    threads; the only internal mutations are the caches of generator
-    loops and of ``rotation``.
+    threads; the only internal mutation is the cache of generator loops.
     """
 
     def __init__(self, faces, shifts=None, vertex_count=None):
@@ -230,9 +179,9 @@ class TorusTriangulation:
         if not _connected(directed[:, 0], directed[:, 1], vertex_count):
             raise DisconnectedError("one-skeleton is not connected")
 
-        directed, offsets = directed.astype(np.int32), offsets.astype(np.int32)
-        edge_index = EdgeIndex(directed, offsets)
-        table, moved = self._resolve_shifts(edge_index, directed, reverse_index, order, shifts)
+        self.vertex_count = int(vertex_count)
+        self.directed_edges = directed.astype(np.int32)
+        table, moved = self._resolve_shifts(reverse_index, order, shifts)
 
         # Only a face with a nonzero shift can fail to sum to zero.
         checked = np.unique(order[moved] // 3)
@@ -245,28 +194,23 @@ class TorusTriangulation:
                 f"shifts around face ({i}, {j}, {k}) sum to {tuple(total[fi].tolist())}"
             )
 
-        self.vertex_count = int(vertex_count)
         self.edge_count = edge_count
         self.faces = faces.astype(np.int32)
-        self.rotation_offsets = offsets
+        self.rotation_offsets = offsets.astype(np.int32)
         self.rotation_edges = ring.astype(np.int32)
-        self.directed_edges = directed
-        self.edge_index = edge_index
-        self.edge_ids = edge_index.ids
         self.shifts = table
         self.reverse_index = reverse_index.astype(np.int32)
         self.face_edges = face_edges.astype(np.int32)
         self._corner = order.astype(np.int32)
         self._cache = {}
 
-    @staticmethod
-    def _resolve_shifts(edge_index, directed, rev, order, shifts):
+    def _resolve_shifts(self, rev, order, shifts):
         """The int32 shift table, resolved on the given rows, and the edges
         with a nonzero shift. order[e] is edge e's corner; a conflict names
         the orientation met first."""
         rows = [(*k, *v) for k, v in dict(shifts or {}).items()]
         rows = _integral(rows or np.zeros((0, 4), dtype=np.int64), "shift entry")
-        pos = edge_index.ids(rows[:, 0], rows[:, 1])
+        pos = self.edge_ids(rows[:, 0], rows[:, 1])
         if (pos < 0).any():
             i, j = map(int, rows[np.argmax(pos < 0), :2])
             raise MeshError(f"shift given for non-edge ({i}, {j})")
@@ -281,7 +225,7 @@ class TorusTriangulation:
         conflict = (partner >= 0) & (values != -values[partner]).any(axis=1)
         if conflict.any():
             e = pos[conflict]
-            i, j = directed[e[np.argmin(order[e])]].tolist()
+            i, j = self.directed_edges[e[np.argmin(order[e])]].tolist()
             raise ShiftConflictError(
                 f"shifts for ({i}, {j}) and ({j}, {i}) are not antisymmetric"
             )
@@ -291,35 +235,19 @@ class TorusTriangulation:
         moved = pos[values.any(axis=1)]
         return table, np.concatenate([moved, rev[moved]])
 
-    face_of_edge = property(lambda self: self._corner // 3)
-    opposite_vertex = property(lambda self: self.faces[self._corner // 3, (self._corner + 2) % 3])
-
-    @cached_property
-    def rotation(self):
-        """Per-vertex tuple of neighbor ids in counterclockwise order."""
-        neighbors = self.directed_edges[self.rotation_edges, 1].tolist()
-        bounds = self.rotation_offsets.tolist()
-        return tuple(tuple(neighbors[a:b]) for a, b in zip(bounds, bounds[1:]))
+    def edge_ids(self, i, j):
+        """Positions of the edges (i, j) in ``directed_edges``, broadcast; -1
+        for non-edges. The sorted int64 keys ``i * n + j`` are built per call
+        and cannot overflow, since a valid mesh has n = E - F."""
+        n = self.vertex_count
+        i, j = (np.asarray(np.clip(np.asarray(x), -1, n), dtype=np.int64) for x in (i, j))
+        keys = np.where((i >= 0) & (i < n) & (j >= 0) & (j < n), i * n + j, -1)
+        edge_keys = self.directed_edges[:, 0].astype(np.int64) * n + self.directed_edges[:, 1]
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        return np.where(edge_keys[pos] == keys, pos, -1)
 
     def degree(self, v):
         return int(self.rotation_offsets[v + 1] - self.rotation_offsets[v])
-
-    def aligned_values(self, mapping, name):
-        """An ``{(i, j): value}`` mapping as floats aligned with ``directed_edges``;
-        ValueError names a missing edge or a non-edge key, calling the values ``name``."""
-        mapping = {(int(i), int(j)): float(w) for (i, j), w in mapping.items()}
-        keys = list(mapping)
-        ids = self.edge_ids([i for i, _ in keys], [j for _, j in keys])
-        covered = np.zeros(len(self.directed_edges), dtype=bool)
-        covered[ids[ids >= 0]] = True
-        if not covered.all():
-            i, j = self.directed_edges[np.argmin(covered)].tolist()
-            raise ValueError(f"missing {name} for directed edge {(i, j)}")
-        if (ids < 0).any():
-            raise ValueError(f"{name} given for non-edge {keys[int(np.argmax(ids < 0))]}")
-        values = np.empty(len(covered))
-        values[ids] = list(mapping.values())
-        return values
 
 
 def _integral(values, name):
@@ -408,11 +336,6 @@ def build_mesh(faces, shifts=None, vertex_count=None):
     naming the first violated invariant.
     """
     return TorusTriangulation(faces, shifts, vertex_count)
-
-
-def rotation_order(mesh, v):
-    """Outgoing directed edges at v in counterclockwise cyclic order."""
-    return tuple((v, u) for u in mesh.rotation[v])
 
 
 def generator_loops(mesh):

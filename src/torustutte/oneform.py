@@ -32,15 +32,6 @@ class DiscreteOneForm:
     values: np.ndarray
 
 
-def one_form_from_values(mesh, values):
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(mesh.directed_edges),):
-        raise ValueError("one value per directed edge required")
-    if not np.array_equal(values, -values[mesh.reverse_index]):
-        raise ValueError("one-form values must be exactly antisymmetric")
-    return DiscreteOneForm(values)
-
-
 def direction_form(mesh, placement, direction):
     """One-form from projecting lifted edge vectors onto a direction."""
     direction = np.asarray(direction, dtype=float)

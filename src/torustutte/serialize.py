@@ -11,10 +11,9 @@ import json
 import numpy as np
 
 from .errors import ShiftConflictError
-from .flow import FlowSample, FlowTrace
 from .geometry import Placement
 from .mesh import build_mesh
-from .tutte import WeightAssignment, _validated_values, weights_from_dict
+from .tutte import WeightAssignment, _validated_values
 
 
 _compact = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
@@ -126,33 +125,55 @@ def weights_to_json(mesh, weights):
 def weights_from_json(mesh, doc):
     """Weights from ``{"weights": [[i, j, w], ...]}``, one row per directed edge.
 
-    A number table that lists every edge once is read as arrays, its ids
-    truncated as ``int`` truncates them. Any other document is read row by
-    row, which names the first duplicate, missing or non-edge entry and
-    fails on the first mistyped row.
+    The rows are read as one number table; ids may be whole floats such
+    as 1.0. An error names, with its row index, the first row that is
+    not three numbers (TypeError for a value that is neither a number
+    nor a string), then the first id that is not an integer; then
+    ValueError names the first duplicate row, the first directed edge
+    with no row, in ``directed_edges`` order, and the first row that is
+    not an edge. NonPositiveWeightError follows for a weight that is not
+    finite and positive.
     """
+    rows = doc["weights"]
     try:
-        table = np.array(doc["weights"])
+        table = np.array(rows)
     except ValueError:  # ragged rows
-        table = np.empty(0)
+        table = np.empty(0, dtype=object)
+    if table.dtype.kind not in "iuf" or table.shape[1:] != (3,):
+        for k, row in enumerate(rows):
+            if type(row) not in (list, tuple) or len(row) != 3:
+                raise ValueError(f"weights row {k} is not an [i, j, w] triple: {row!r}")
+            for x in row:
+                if not isinstance(x, (int, float)):
+                    error = ValueError if isinstance(x, str) else TypeError  # as float(x) has it
+                    raise error(f"weights row {k}: {x!r} is not a number")
+        # numbers that fit no common dtype, such as ids past int64, or no rows
+        table = np.array(rows, dtype=object).reshape(-1, 3)
+    ids = table[:, :2]
+    with np.errstate(invalid="ignore"):
+        fraction = ids % 1 != 0  # true for inf and nan too
+    if fraction.any():
+        k, c = divmod(int(np.argmax(fraction)), 2)
+        raise ValueError(f"weights row {k}: vertex id {table[k].tolist()[c]!r} is not an integer")
     edges = len(mesh.directed_edges)
-    if table.dtype.kind in "if" and table.shape == (edges, 3):
-        ids = table[:, :2]
-        if ((ids >= 0) & (ids < mesh.vertex_count)).all():
-            pos = mesh.edge_ids(*ids.astype(np.int64).T)
-            if (pos >= 0).all() and (np.bincount(pos, minlength=edges) == 1).all():
-                values = np.empty(edges)
-                values[pos] = table[:, 2]
-                weights = WeightAssignment(values)
-                _validated_values(mesh, weights)
-                return weights
-    entries = {}
-    for i, j, w in doc["weights"]:
-        key = (int(i), int(j))
-        if key in entries:
-            raise ValueError(f"duplicate weight entry for edge {key}")
-        entries[key] = float(w)
-    return weights_from_dict(mesh, entries)
+    pos = mesh.edge_ids(ids[:, 0], ids[:, 1])
+    if len(pos) != edges or (np.bincount(pos + 1, minlength=edges + 1)[1:] != 1).any():
+        keys = [(int(i), int(j)) for i, j in ids.tolist()]
+        first = {}
+        for k, key in enumerate(keys):
+            if first.setdefault(key, k) != k:
+                raise ValueError(f"duplicate weight entry for edge {key}")
+        missing = np.ones(edges, dtype=bool)
+        missing[pos[pos >= 0]] = False
+        if missing.any():
+            i, j = mesh.directed_edges[np.argmax(missing)].tolist()
+            raise ValueError(f"missing weight for directed edge {(i, j)}")
+        raise ValueError(f"weight given for non-edge {keys[int(np.argmax(pos < 0))]}")
+    values = np.empty(edges)
+    values[pos] = table[:, 2]
+    weights = WeightAssignment(values)
+    _validated_values(mesh, weights)
+    return weights
 
 
 def placement_to_json(placement):
@@ -185,25 +206,3 @@ def trace_to_jsonl(trace, path=None):
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-def trace_from_jsonl(text, status=None):
-    """Rebuild a FlowTrace from JSONL text. The status is not stored in
-    the records; pass it when it matters, otherwise it is ``unknown``."""
-    samples = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        samples.append(
-            FlowSample(
-                t=rec["t"],
-                weights=np.array(rec["weights"]),
-                energy=rec["energy"],
-                min_weight=rec["min_weight"],
-                asym_bound=rec["asym_bound"],
-            )
-        )
-    if not samples:
-        raise ValueError("flow trace has no records")
-    return FlowTrace(samples=samples, status=status or "unknown")

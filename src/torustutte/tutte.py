@@ -95,38 +95,24 @@ def uniform_weights(mesh):
     return WeightAssignment(np.ones(len(mesh.directed_edges)))
 
 
-def weights_from_dict(mesh, mapping):
-    """Build a WeightAssignment from a directed-edge keyed mapping."""
-    wa = WeightAssignment(mesh.aligned_values(mapping, "weight"))
-    _validated_values(mesh, wa)
-    return wa
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Residual structure at the least-squares balance solution.
 
     Stores the stationary vector ``pi`` (with pi_0 = 1) and the drift
-    d = pi^T b; the rank-one residual rows -pi d^T / |pi|^2 and the
-    shared direction -d / |d| are derived from them on access.
+    d = pi^T b, from which the rank-one residual rows -pi d^T / |pi|^2
+    follow; the shared direction -d / |d| is derived on access.
     ``direction`` and ``projections`` are present exactly when the
     energy exceeds ``ADMISSIBLE_TOL``; otherwise ``zero_residual`` is set.
     ``projections`` holds u_ij, the component of each lifted edge
-    vector along the direction, and ``max_weight_ratio`` is the
-    largest w_ij / w_ji, which bounds how unevenly the residual mass
-    can spread over vertices.
+    vector along the direction.
     """
 
     pi: np.ndarray
     drift: np.ndarray
     energy: float
     projections: np.ndarray | None
-    max_weight_ratio: float
     zero_residual: bool
-
-    @property
-    def residuals(self):
-        return np.outer(self.pi, -self.drift / float(self.pi @ self.pi))
 
     @property
     def direction(self):
@@ -187,7 +173,6 @@ def _assemble(mesh, values, pattern):
 class _Factored:
     """First phase of a solve: the factor, pi and the energy, no coordinates."""
 
-    values: np.ndarray
     lu: object
     rhs: np.ndarray
     pi: np.ndarray
@@ -225,7 +210,7 @@ def _factor(mesh, values, pattern):
     with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite energy is a verdict
         drift = pi @ rhs
         energy = float(np.linalg.norm(drift)) ** 2 / float(pi @ pi)
-    return _Factored(values, lu, rhs, pi, drift, energy)
+    return _Factored(lu, rhs, pi, drift, energy)
 
 
 def _finish(mesh, factored):
@@ -236,7 +221,7 @@ def _finish(mesh, factored):
     ``ADMISSIBLE_TOL``. Raises NonFiniteStateError when pi, the energy
     or the coordinates are not finite. Returns (coords, ResidualReport).
     """
-    pi, drift, energy, values = factored.pi, factored.drift, factored.energy, factored.values
+    pi, drift, energy = factored.pi, factored.drift, factored.energy
     with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite solve is raised below
         residual = np.outer(pi[1:], -drift / float(pi @ pi))
         free = factored.lu.solve(factored.rhs[1:] + residual, trans="T")
@@ -250,14 +235,11 @@ def _finish(mesh, factored):
     if not zero_residual:
         direction = -drift / float(np.linalg.norm(drift))
         projections = direction_form(mesh, Placement(coords), direction).values
-    with np.errstate(over="ignore"):  # a ratio past float range reads inf
-        ratio = float((values / values[mesh.reverse_index]).max())
     report = ResidualReport(
         pi=pi,
         drift=drift,
         energy=energy,
         projections=projections,
-        max_weight_ratio=ratio,
         zero_residual=zero_residual,
     )
     return coords, report

@@ -17,6 +17,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from torustutte import (
     GeneratorLoops,
     Placement,
+    WeightAssignment,
     build_mesh,
     edge_vectors,
     face_signed_areas,
@@ -35,6 +36,7 @@ from torustutte.errors import (
 )
 from torustutte.flow import _velocity
 from torustutte.render import _clip_polygon
+from torustutte.tutte import _validated_values
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +147,39 @@ def canonical_shift_dict(mesh):
     for k, (i, j) in enumerate(mesh.directed_edges):
         if i < j:
             out[(int(i), int(j))] = tuple(int(x) for x in mesh.shifts[k])
+    return out
+
+
+def edge_id(mesh, i, j):
+    """Row of the directed edge (i, j) in ``directed_edges``, by ``edge_ids``;
+    KeyError for a non-edge."""
+    k = int(mesh.edge_ids(i, j))
+    if k < 0:
+        raise KeyError((i, j))
+    return k
+
+
+def is_edge(mesh, i, j):
+    return int(mesh.edge_ids(i, j)) >= 0
+
+
+def ring(mesh, v):
+    """Neighbors of v in counterclockwise order, read off the rotation's CSR arrays."""
+    a, b = mesh.rotation_offsets[v:v + 2]
+    return tuple(mesh.directed_edges[mesh.rotation_edges[a:b], 1].tolist())
+
+
+def opposite_vertex(mesh):
+    """Third vertex of the face left of each directed edge, from ``face_edges``."""
+    out = np.empty(len(mesh.directed_edges), dtype=np.int32)
+    out[mesh.face_edges] = mesh.faces[:, [2, 0, 1]]
+    return out
+
+
+def face_of_edge(mesh):
+    """Face left of each directed edge, from ``face_edges``."""
+    out = np.empty(len(mesh.directed_edges), dtype=np.int32)
+    out[mesh.face_edges] = np.arange(len(mesh.faces))[:, None]
     return out
 
 
@@ -374,8 +409,8 @@ def brute_shortest_loop(mesh, target, limit):
     steps = []
     for v in range(mesh.vertex_count):
         row = []
-        for u in mesh.rotation[v]:
-            b = mesh.shifts[mesh.edge_index[(v, u)]]
+        for u in ring(mesh, v):
+            b = mesh.shifts[edge_id(mesh, v, u)]
             row.append((u, int(b[0]), int(b[1])))
         steps.append(tuple(row))
     best = None
@@ -409,7 +444,7 @@ def oracle_shortest_loop(mesh, target):
     """
     n = mesh.vertex_count
     steps = [
-        tuple((u, *map(int, mesh.shifts[mesh.edge_index[(v, u)]])) for u in mesh.rotation[v])
+        tuple((u, *map(int, mesh.shifts[edge_id(mesh, v, u)])) for u in ring(mesh, v))
         for v in range(n)
     ]
     tx, ty = int(target[0]), int(target[1])
@@ -567,6 +602,46 @@ def edge_mapping(mesh, values):
     return dict(zip(map(tuple, mesh.directed_edges.tolist()), np.asarray(values).tolist()))
 
 
+def oracle_weights_from_json(mesh, doc):
+    """Weight values by the two-path reader the one array path replaced.
+
+    A number table that lists every edge once is read as arrays, its ids
+    truncated as ``int`` truncates them. Any other document is read row
+    by row into a dict, which names the first duplicate entry, then the
+    first directed edge with no entry and the first entry that is not an
+    edge, and fails on the first mistyped row.
+    """
+    try:
+        table = np.array(doc["weights"])
+    except ValueError:  # ragged rows
+        table = np.empty(0)
+    edges = len(mesh.directed_edges)
+    if table.dtype.kind in "if" and table.shape == (edges, 3):
+        ids = table[:, :2]
+        if ((ids >= 0) & (ids < mesh.vertex_count)).all():
+            pos = mesh.edge_ids(*ids.astype(np.int64).T)
+            if (pos >= 0).all() and (np.bincount(pos, minlength=edges) == 1).all():
+                values = np.empty(edges)
+                values[pos] = table[:, 2]
+                return _validated_values(mesh, WeightAssignment(values))
+    entries = {}
+    for i, j, w in doc["weights"]:
+        key = (int(i), int(j))
+        if key in entries:
+            raise ValueError(f"duplicate weight entry for edge {key}")
+        entries[key] = float(w)
+    index = {tuple(e): k for k, e in enumerate(mesh.directed_edges.tolist())}
+    missing = [e for e in index if e not in entries]
+    if missing:
+        raise ValueError(f"missing weight for directed edge {missing[0]}")
+    strays = [key for key in entries if key not in index]
+    if strays:
+        raise ValueError(f"weight given for non-edge {strays[0]}")
+    values = np.empty(edges)
+    values[[index[key] for key in entries]] = list(entries.values())
+    return _validated_values(mesh, WeightAssignment(values))
+
+
 def oracle_left_null(matrix):
     """Left null vector of A, sign-normalized, via full SVD."""
     u_mat, _, _ = np.linalg.svd(np.asarray(matrix))
@@ -574,6 +649,16 @@ def oracle_left_null(matrix):
     if pi.sum() < 0:
         pi = -pi
     return pi
+
+
+def residual_rows(report):
+    """The rank-one residual rows -pi d^T / |pi|^2 of a residual report."""
+    return np.outer(report.pi, -report.drift / (report.pi @ report.pi))
+
+
+def max_weight_ratio(mesh, values):
+    """Largest w_ij / w_ji over the directed edges."""
+    return float((values / values[mesh.reverse_index]).max())
 
 
 def oracle_singular_ratio(residuals):
@@ -599,7 +684,7 @@ def oracle_mean_value(mesh, placement):
                 other = next(v for v in face if v != i and v != j)
                 ovec = (
                     coords[other]
-                    + mesh.shifts[mesh.edge_index[(i, other)]]
+                    + mesh.shifts[edge_id(mesh, i, other)]
                     - coords[i]
                 )
                 olen = math.hypot(ovec[0], ovec[1])
@@ -614,7 +699,7 @@ def oracle_mean_value(mesh, placement):
 def oracle_mean_value_per_edge(mesh, placement):
     """The same tangent formula as mean_value_weights, one edge at a time.
 
-    Looks up the two neighbouring edges (i, k) through ``edge_index``.
+    Looks up the two neighbouring edges (i, k) through ``edge_id``.
     """
     coords = placement.coords
     src, dst = mesh.directed_edges.T
@@ -626,12 +711,13 @@ def oracle_mean_value_per_edge(mesh, placement):
         return (np.hypot(*u) * np.hypot(*v) - dot) / cross
 
     out = np.empty(len(vecs))
+    opposite = opposite_vertex(mesh)
     for k, (i, j) in enumerate(mesh.directed_edges):
         u = vecs[k]
-        k1 = int(mesh.opposite_vertex[k])
-        k2 = int(mesh.opposite_vertex[mesh.reverse_index[k]])
-        t1 = tan_half(u, vecs[mesh.edge_index[(int(i), k1)]])
-        t2 = tan_half(u, vecs[mesh.edge_index[(int(i), k2)]])
+        k1 = int(opposite[k])
+        k2 = int(opposite[mesh.reverse_index[k]])
+        t1 = tan_half(u, vecs[edge_id(mesh, int(i), k1)])
+        t2 = tan_half(u, vecs[edge_id(mesh, int(i), k2)])
         out[k] = (t1 + t2) / np.hypot(u[0], u[1])
     return out
 
@@ -641,7 +727,7 @@ def oracle_mean_value_edge_ids(mesh, placement):
     ``edge_ids`` from the opposite vertices instead of read off the corners."""
     vecs = edge_vectors(mesh, placement).T
     src = mesh.directed_edges[:, 0]
-    opposite = mesh.opposite_vertex
+    opposite = opposite_vertex(mesh)
     left = vecs[:, mesh.edge_ids(src, opposite)]
     right = vecs[:, mesh.edge_ids(src, opposite[mesh.reverse_index])]
 
@@ -667,14 +753,14 @@ def oracle_sign_changes(values, tol):
 def oracle_indices(mesh, values, tol):
     """Vertex and face indices, None where degenerate, cell by cell.
 
-    Vertex rings come from ``rotation`` and ``edge_index`` lookups.
+    Vertex rings come from ``ring`` and ``edge_id`` lookups.
     """
     def index(vals):
         sc = oracle_sign_changes(vals, tol)
         return None if sc is None else (2 - sc) / 2
 
     vertex = [
-        index([values[mesh.edge_index[(v, u)]] for u in mesh.rotation[v]])
+        index([values[edge_id(mesh, v, u)] for u in ring(mesh, v)])
         for v in range(mesh.vertex_count)
     ]
     face = [index(list(values[e])) for e in mesh.face_edges]
@@ -690,8 +776,8 @@ def oracle_face_areas(mesh, placement):
     out = np.empty(len(mesh.faces))
     for fi, (a, b, c) in enumerate(mesh.faces):
         pa = coords[a]
-        pb = coords[b] + mesh.shifts[mesh.edge_index[(a, b)]]
-        pc = pb + mesh.shifts[mesh.edge_index[(b, c)]] + coords[c] - coords[b]
+        pb = coords[b] + mesh.shifts[edge_id(mesh, a, b)]
+        pc = pb + mesh.shifts[edge_id(mesh, b, c)] + coords[c] - coords[b]
         out[fi] = 0.5 * (
             pa[0] * (pb[1] - pc[1])
             + pb[0] * (pc[1] - pa[1])

@@ -96,14 +96,15 @@ def run_all():
         while balance_energy(mesh3, WeightAssignment(values)) <= 1e-10:
             values = helpers.random_directed_weights(mesh3, rng, 0.5, 2.0)
         report = residual_structure(mesh3, WeightAssignment(values))
-        norms = np.linalg.norm(report.residuals, axis=1)
+        residuals = helpers.residual_rows(report)
+        norms = np.linalg.norm(residuals, axis=1)
         residual_rows.append(
             {
                 "energy": report.energy,
-                "singular_ratio": helpers.oracle_singular_ratio(report.residuals),
-                "min_gram": float((report.residuals @ report.residuals.T).min()),
+                "singular_ratio": helpers.oracle_singular_ratio(residuals),
+                "min_gram": float((residuals @ residuals.T).min()),
                 "row_ratio": float(norms.max() / norms.min()),
-                "ratio_cap": float(report.max_weight_ratio ** (N3 - 1)),
+                "ratio_cap": float(helpers.max_weight_ratio(mesh3, values) ** (N3 - 1)),
                 "min_projection": float(report.projections.min()),
             }
         )

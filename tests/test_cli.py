@@ -115,7 +115,7 @@ def test_embed_energy_mvc_cycle(workspace, tmp_path, capsys):
 def test_embed_rejects_non_admissible(workspace, tmp_path, capsys):
     mesh, _, paths = workspace
     values = np.ones(54)
-    values[mesh.edge_index[(0, 1)]] = 5.0
+    values[helpers.edge_id(mesh, 0, 1)] = 5.0
     bad = tmp_path / "bad.json"
     dump_json(weights_to_json(mesh, WeightAssignment(values)), bad)
     code, out = run(capsys, [
@@ -131,7 +131,7 @@ def test_bad_tol_exit_code(workspace, tmp_path, capsys, command, tol):
     """No command takes a tolerance: ``--tol`` is an unknown flag, exit 2, nothing written."""
     mesh, _, paths = workspace
     values = np.ones(54)
-    values[mesh.edge_index[(0, 1)]] = 5.0
+    values[helpers.edge_id(mesh, 0, 1)] = 5.0
     bad = tmp_path / "bad.json"
     dump_json(weights_to_json(mesh, WeightAssignment(values)), bad)
     extra = ["--out-placement", tmp_path / "never.json"] if command == "embed" else []
@@ -216,7 +216,7 @@ sys.stderr.write(json.dumps(seen))
 def test_retract_flow(workspace, tmp_path, capsys):
     mesh, _, paths = workspace
     values = np.ones(54)
-    values[mesh.edge_index[(0, 1)]] = 5.0
+    values[helpers.edge_id(mesh, 0, 1)] = 5.0
     bad = tmp_path / "bad.json"
     dump_json(weights_to_json(mesh, WeightAssignment(values)), bad)
     trace_path = tmp_path / "trace.jsonl"
@@ -245,7 +245,7 @@ def test_retract_flow(workspace, tmp_path, capsys):
 def test_retract_budget_exit_code(workspace, tmp_path, capsys):
     mesh, _, paths = workspace
     values = np.ones(54)
-    values[mesh.edge_index[(0, 1)]] = 5.0
+    values[helpers.edge_id(mesh, 0, 1)] = 5.0
     bad = tmp_path / "bad.json"
     dump_json(weights_to_json(mesh, WeightAssignment(values)), bad)
     code, out = run(capsys, [
@@ -496,6 +496,38 @@ def test_wrongly_typed_document_exit_code(workspace, tmp_path, capsys, case):
     code, out = run(capsys, argv)
     assert code == 2
     assert out.err.startswith(f"error: {bad}: value of the wrong type: ")
+
+
+# a fractional, negative fractional, infinite or nan id, or a weight written as a string
+MALFORMED_ROW = {
+    "fractional id": (lambda i, j, w: [i, j + 0.5, w], "vertex id 1.5 is not an integer"),
+    "negative fractional id": (lambda i, j, w: [i - 0.5, j, w], "vertex id -0.5 is not an integer"),
+    "infinite id": (lambda i, j, w: [i, float("inf"), w], "vertex id inf is not an integer"),
+    "nan id": (lambda i, j, w: [float("nan"), j, w], "vertex id nan is not an integer"),
+    "string weight": (lambda i, j, w: [i, j, str(w)], f"{str(5.85)!r} is not a number"),
+}
+
+
+@pytest.mark.parametrize("command", ["embed", "energy", "retract"])
+@pytest.mark.parametrize("case", list(MALFORMED_ROW))
+def test_malformed_weights_row_exit_code(tmp_path, capsys, case, command):
+    """gen --size 4 --perturb 0.05 --seed 1, mvc, then one row broken: an input error naming it."""
+    mesh, placement = gen_grid(4)
+    paths = {name: tmp_path / f"{name}.json" for name in ("mesh", "placement", "weights")}
+    dump_json(mesh_to_json(mesh), paths["mesh"])
+    dump_json(placement_to_json(perturb(mesh, placement, 0.05, 1)), paths["placement"])
+    run(capsys, ["mvc", "--mesh", paths["mesh"], "--placement", paths["placement"],
+                 "--out-weights", paths["weights"]])
+    doc = load_json(paths["weights"])
+    assert doc["weights"][0][:2] == [0, 1]
+    make, named = MALFORMED_ROW[case]
+    doc["weights"][0] = make(0, 1, 5.85)
+    paths["weights"].write_text(json.dumps(doc))  # Infinity and NaN as Python's json writes them
+    extra = ["--out-placement", tmp_path / "out.json"] if command == "embed" else []
+    code, out = run(capsys, [command, "--mesh", paths["mesh"], "--weights", paths["weights"], *extra])
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: weights row 0: {named}\n"
 
 
 def _without(doc, key):

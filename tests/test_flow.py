@@ -34,7 +34,7 @@ GRID3_GAP = 0.23570226039551584  # 1 / (3 sqrt 2)
 
 def single_asymmetry(mesh, value=5.0):
     values = np.ones(len(mesh.directed_edges))
-    values[mesh.edge_index[(0, 1)]] = value
+    values[helpers.edge_id(mesh, 0, 1)] = value
     return WeightAssignment(values)
 
 

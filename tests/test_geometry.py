@@ -71,15 +71,14 @@ def test_edge_vectors_grid_values(grid3):
     mesh, placement = grid3
     third = 1.0 / 3.0
     vecs = edge_vectors(mesh, placement)
-    k = mesh.edge_index
     # interior edge 0 -> 1 goes one step right
-    assert np.allclose(vecs[k[(0, 1)]], [third, 0.0], atol=1e-15)
+    assert np.allclose(vecs[helpers.edge_id(mesh, 0, 1)], [third, 0.0], atol=1e-15)
     # seam edge 2 -> 0 wraps and still goes right
-    assert np.array_equal(mesh.shifts[k[(2, 0)]], [1, 0])
-    assert np.allclose(vecs[k[(2, 0)]], [third, 0.0], atol=1e-15)
+    assert np.array_equal(mesh.shifts[helpers.edge_id(mesh, 2, 0)], [1, 0])
+    assert np.allclose(vecs[helpers.edge_id(mesh, 2, 0)], [third, 0.0], atol=1e-15)
     # diagonal seam edge 8 -> 0 crosses both seams
-    assert np.array_equal(mesh.shifts[k[(8, 0)]], [1, 1])
-    assert np.allclose(vecs[k[(8, 0)]], [third, third], atol=1e-15)
+    assert np.array_equal(mesh.shifts[helpers.edge_id(mesh, 8, 0)], [1, 1])
+    assert np.allclose(vecs[helpers.edge_id(mesh, 8, 0)], [third, third], atol=1e-15)
 
 
 def test_edge_vectors_antisymmetric(grid4, k7):

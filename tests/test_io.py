@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import helpers
 from torustutte import (
     WeightAssignment,
+    build_mesh,
+    gen_grid,
     gen_k7,
     mean_value_weights,
     retract,
@@ -21,7 +23,6 @@ from torustutte.serialize import (
     mesh_to_json,
     placement_from_json,
     placement_to_json,
-    trace_from_jsonl,
     trace_to_jsonl,
     weights_from_json,
     weights_to_json,
@@ -149,9 +150,12 @@ def test_weights_read_as_table_match_row_reading(grid4, rng):
     assert np.array_equal(weights_from_json(mesh, {"weights": shuffled}).values, values)
     whole = [[i, j, 3] for i, j, _ in rows]
     assert np.array_equal(weights_from_json(mesh, {"weights": whole}).values, np.full(96, 3.0))
-    # int() truncates a fractional id, and so does the table reading
-    nudged = [[i + 0.5, j + 0.25, w] for i, j, w in rows]
-    assert np.array_equal(weights_from_json(mesh, {"weights": nudged}).values, values)
+    floats = [[float(i), float(j), w] for i, j, w in shuffled]
+    assert np.array_equal(weights_from_json(mesh, {"weights": floats}).values, values)
+    # a fractional id is named, not truncated
+    nudged = [[i, j + 0.25, w] for i, j, w in rows]
+    with pytest.raises(ValueError, match=r"^weights row 0: vertex id 1.25 is not an integer$"):
+        weights_from_json(mesh, {"weights": nudged})
 
 
 def weights_rows(mesh):
@@ -172,11 +176,25 @@ BAD_WEIGHT_ROWS = {
         r"weight given for non-edge \(1180591620717411303424, 0\)$",
     ),
     "negative id": (lambda r: r + [[-1, 3, 1.0]], ValueError, r"non-edge \(-1, 3\)$"),
-    "short row": (lambda r: r[:-1] + [r[-1][:2]], ValueError, "not enough values to unpack"),
-    "string id": (lambda r: [["a", 1, 1.0]] + r[1:], ValueError, "invalid literal for int"),
-    "null weight": (lambda r: [r[0][:2] + [None]] + r[1:], TypeError, "NoneType"),
-    "null id": (lambda r: [[None] + r[0][1:]] + r[1:], TypeError, "NoneType"),
-    "nan id": (lambda r: [[math.nan] + r[0][1:]] + r[1:], ValueError, "NaN"),
+    "short row": (
+        lambda r: r[:-1] + [r[-1][:2]], ValueError, r"^weights row 53 is not an \[i, j, w\] triple: \[8, 7\]$"
+    ),
+    "string id": (lambda r: [["a", 1, 1.0]] + r[1:], ValueError, r"^weights row 0: 'a' is not a number$"),
+    "null weight": (lambda r: [r[0][:2] + [None]] + r[1:], TypeError, r"^weights row 0: None is not a number$"),
+    "null id": (lambda r: [[None] + r[0][1:]] + r[1:], TypeError, r"^weights row 0: None is not a number$"),
+    "nan id": (
+        lambda r: [[math.nan] + r[0][1:]] + r[1:], ValueError, r"^weights row 0: vertex id nan is not an integer$"
+    ),
+    "fractional id": (
+        lambda r: [[0, 1.5, 1.0]] + r[1:], ValueError, r"^weights row 0: vertex id 1.5 is not an integer$"
+    ),
+    "negative fractional id": (
+        lambda r: [[-0.5, 1, 1.0]] + r[1:], ValueError, r"^weights row 0: vertex id -0.5 is not an integer$"
+    ),
+    "infinite id": (
+        lambda r: [[0, math.inf, 1.0]] + r[1:], ValueError, r"^weights row 0: vertex id inf is not an integer$"
+    ),
+    "string weight": (lambda r: [[0, 1, "5.85"]] + r[1:], ValueError, r"^weights row 0: '5.85' is not a number$"),
     "zero weight": (lambda r: [r[0][:2] + [0.0]] + r[1:], NonPositiveWeightError, "positive"),
     "number": (lambda r: 5, TypeError, "not iterable"),
 }
@@ -190,6 +208,59 @@ def test_weights_from_json_names_the_bad_row(grid3, case):
     assert rows[4][:2] == [0, 6]
     with pytest.raises(error, match=message):
         weights_from_json(mesh, {"weights": make(rows)})
+
+
+def corrupted_weight_docs():
+    """Weights documents with duplicate, missing and non-edge rows, alone and
+    combined, on gen_grid(3), K7 and a random-diagonal mesh; ids are ints,
+    or whole floats in every other document."""
+    rng = np.random.default_rng(5)
+    meshes = {
+        "grid3": gen_grid(3)[0],
+        "k7": gen_k7()[0],
+        "diagonal6": build_mesh(*helpers.random_diagonal_grid(6, np.random.default_rng(6))),
+    }
+    for name, mesh in meshes.items():
+        n, edges = mesh.vertex_count, mesh.edge_count * 2
+        values = helpers.random_directed_weights(mesh, rng, 0.5, 2.0)
+        full = [[i, j, w] for (i, j), w in zip(mesh.directed_edges.tolist(), values.tolist())]
+
+        def stray():
+            while True:
+                i, j = rng.choice([*range(-2, n + 2), 2**70], size=2).tolist()
+                if mesh.edge_ids(i, j) < 0:
+                    return [i, j, 1.0]
+
+        for case in range(40):
+            rows = [full[k] for k in rng.permutation(edges)]
+            ops = rng.choice(["duplicate", "drop", "stray", "replace"], size=rng.integers(1, 4))
+            for op in ops:
+                if op == "duplicate":
+                    rows.insert(int(rng.integers(len(rows) + 1)), list(rows[rng.integers(len(rows))]))
+                elif op == "drop":
+                    rows.pop(int(rng.integers(len(rows))))
+                elif op == "stray":
+                    rows.insert(int(rng.integers(len(rows) + 1)), stray())
+                else:  # one row's edge becomes another edge or a non-edge
+                    k = int(rng.integers(len(rows)))
+                    other = rows[rng.integers(len(rows))] if rng.random() < 0.5 else stray()
+                    rows[k] = [other[0], other[1], rows[k][2]]
+            if case % 2:
+                rows = [[float(i), float(j), w] for i, j, w in rows]
+            yield f"{name}-{case}-{'+'.join(ops)}", mesh, {"weights": rows}
+
+
+@pytest.mark.parametrize(
+    "mesh, doc", [c[1:] for c in corrupted_weight_docs()], ids=[c[0] for c in corrupted_weight_docs()]
+)
+def test_weights_errors_match_reference_reader(mesh, doc):
+    """The array reader names the bad row as the two-path reader did."""
+    with pytest.raises(Exception) as expected:
+        helpers.oracle_weights_from_json(mesh, doc)
+    with pytest.raises(type(expected.value)) as caught:
+        weights_from_json(mesh, doc)
+    assert type(caught.value) is type(expected.value)
+    assert str(caught.value) == str(expected.value)
 
 
 def test_placement_round_trip_exact(bumpy4):
@@ -209,9 +280,10 @@ def test_mvc_weights_survive_serialization(k7):
 
 
 def test_trace_jsonl_round_trip(grid3, tmp_path):
+    """One record per accepted state, every float read back bit for bit."""
     mesh, _ = grid3
     values = np.ones(54)
-    values[mesh.edge_index[(0, 1)]] = 5.0
+    values[helpers.edge_id(mesh, 0, 1)] = 5.0
     trace = retract(mesh, WeightAssignment(values))
     path = tmp_path / "trace.jsonl"
     text = trace_to_jsonl(trace, path)
@@ -219,30 +291,21 @@ def test_trace_jsonl_round_trip(grid3, tmp_path):
     lines = [json.loads(line) for line in text.splitlines()]
     assert len(lines) == len(trace.samples)
     assert sorted(lines[0]) == ["asym_bound", "energy", "min_weight", "t", "weights"]
-    rebuilt = trace_from_jsonl(text, status=trace.status)
-    assert rebuilt.status == trace.status
-    assert rebuilt.steps == trace.steps
-    for a, b in zip(rebuilt.samples, trace.samples):
-        assert a.t == b.t
-        assert a.energy == b.energy
-        assert a.min_weight == b.min_weight
-        assert a.asym_bound == b.asym_bound
-        assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(
-        rebuilt.final_weights.values, trace.final_weights.values
-    )
+    for record, sample in zip(lines, trace.samples):
+        assert record["t"] == sample.t
+        assert record["energy"] == sample.energy
+        assert record["min_weight"] == sample.min_weight
+        assert record["asym_bound"] == sample.asym_bound
+        assert np.array_equal(record["weights"], sample.weights)
+    assert np.array_equal(lines[-1]["weights"], trace.final_weights.values)
 
 
 def test_trace_defaults(grid3):
+    """The records hold no status: one per sample, steps + 1 in all."""
     mesh, _ = grid3
     values = np.ones(54)
-    values[mesh.edge_index[(0, 1)]] = 5.0
+    values[helpers.edge_id(mesh, 0, 1)] = 5.0
     trace = retract(mesh, WeightAssignment(values))
-    rebuilt = trace_from_jsonl(trace_to_jsonl(trace))
-    assert rebuilt.status == "unknown"
-    assert rebuilt.steps == len(trace.samples) - 1
-
-
-def test_trace_without_records_rejected():
-    with pytest.raises(ValueError, match="no records"):
-        trace_from_jsonl("\n")
+    records = trace_to_jsonl(trace).splitlines()
+    assert len(records) == trace.steps + 1
+    assert all("status" not in json.loads(line) for line in records)

@@ -14,7 +14,6 @@ from torustutte import (
     gen_k7,
     generator_loops,
     retract,
-    rotation_order,
 )
 from torustutte.errors import (
     BadFaceError,
@@ -56,7 +55,7 @@ def test_k7_counts(k7):
     assert mesh.edge_count == 21
     assert len(mesh.faces) == 14
     # complete graph: every vertex pair is an edge
-    assert all((i, j) in mesh.edge_index
+    assert all(helpers.is_edge(mesh, i, j)
                for i in range(7) for j in range(7) if i != j)
     assert placement.coords.shape == (7, 2)
 
@@ -93,9 +92,6 @@ def test_face_structure_tables(grid4):
         assert tuple(mesh.directed_edges[e0]) == (a, b)
         assert tuple(mesh.directed_edges[e1]) == (b, c)
         assert tuple(mesh.directed_edges[e2]) == (c, a)
-        assert mesh.opposite_vertex[e0] == c
-        assert mesh.opposite_vertex[e1] == a
-        assert mesh.opposite_vertex[e2] == b
         # shifts around the face close up exactly
         total = mesh.shifts[e0] + mesh.shifts[e1] + mesh.shifts[e2]
         assert np.array_equal(total, np.zeros(2, dtype=total.dtype))
@@ -107,9 +103,9 @@ def test_face_structure_tables(grid4):
 def test_rotation_covers_neighbors(grid3, k7):
     for mesh in (grid3[0], k7[0]):
         for v in range(mesh.vertex_count):
-            ring = mesh.rotation[v]
+            ring = helpers.ring(mesh, v)
             assert len(ring) == len(set(ring)) == mesh.degree(v)
-            expected = {j for (i, j) in mesh.edge_index if i == v}
+            expected = {j for i, j in mesh.directed_edges.tolist() if i == v}
             assert set(ring) == expected
 
 
@@ -119,7 +115,7 @@ def test_rotation_consecutive_pairs_are_faces(grid4):
     for a, b, c in mesh.faces:
         face_set.update({(a, b, c), (b, c, a), (c, a, b)})
     for v in range(mesh.vertex_count):
-        ring = mesh.rotation[v]
+        ring = helpers.ring(mesh, v)
         for idx, u in enumerate(ring):
             nxt = ring[(idx + 1) % len(ring)]
             assert (v, u, nxt) in face_set
@@ -130,8 +126,8 @@ def test_rotation_matches_geometry(grid4):
     mesh, placement = grid4
     for v in range(mesh.vertex_count):
         angles = []
-        for u in mesh.rotation[v]:
-            vec = (placement.coords[u] + mesh.shifts[mesh.edge_index[(v, u)]]
+        for u in helpers.ring(mesh, v):
+            vec = (placement.coords[u] + mesh.shifts[helpers.edge_id(mesh, v, u)]
                    - placement.coords[v])
             angles.append(float(np.arctan2(vec[1], vec[0])))
         pivot = angles.index(min(angles))
@@ -139,18 +135,11 @@ def test_rotation_matches_geometry(grid4):
         assert all(a < b for a, b in zip(rolled, rolled[1:]))
 
 
-def test_rotation_order_helper(grid3):
-    mesh, _ = grid3
-    edges = rotation_order(mesh, 4)
-    assert len(edges) == 6
-    assert all(e[0] == 4 for e in edges)
-    assert tuple(e[1] for e in edges) == mesh.rotation[4]
-
-
 def test_rotation_deterministic(grid3):
     mesh_a, _ = gen_grid(3)
     mesh_b, _ = grid3
-    assert mesh_a.rotation == mesh_b.rotation
+    for table in ("rotation_offsets", "rotation_edges"):
+        assert np.array_equal(getattr(mesh_a, table), getattr(mesh_b, table)), table
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +254,7 @@ def test_connectivity_does_not_depend_on_the_labels(seed):
 def test_shift_on_nonedge_rejected(grid3):
     mesh, _ = grid3
     shifts = helpers.canonical_shift_dict(mesh)
-    assert (0, 5) not in mesh.edge_index
+    assert not helpers.is_edge(mesh, 0, 5)
     shifts[(0, 5)] = (1, 0)
     with pytest.raises(MeshError, match="non-edge"):
         build_mesh([tuple(f) for f in mesh.faces], shifts)
@@ -341,9 +330,9 @@ def test_all_zero_shifts_have_no_generators(grid3, monkeypatch):
 
 def assert_valid_loop(mesh, loop, target):
     for a, b in zip(loop, loop[1:] + loop[:1]):
-        assert (a, b) in mesh.edge_index
+        assert helpers.is_edge(mesh, a, b)
     total = sum(
-        (mesh.shifts[mesh.edge_index[(a, b)]] for a, b in zip(loop, loop[1:] + loop[:1])),
+        (mesh.shifts[helpers.edge_id(mesh, a, b)] for a, b in zip(loop, loop[1:] + loop[:1])),
         start=np.zeros(2, dtype=int),
     )
     assert tuple(int(x) for x in total) == target
@@ -540,10 +529,7 @@ def test_loop_length_exact_when_smallest_vertex_does_not_wrap():
 # ---------------------------------------------------------------------------
 # Array build against the dict-based reference builder
 
-TABLES = (
-    "edge_count", "directed_edges", "shifts", "reverse_index",
-    "face_edges", "opposite_vertex", "face_of_edge", "rotation",
-)
+TABLES = ("edge_count", "directed_edges", "shifts", "reverse_index", "face_edges")
 
 
 def reference_inputs():
@@ -566,10 +552,12 @@ def test_tables_match_reference_builder(name, mesh):
             assert np.array_equal(got, expected[table]), table
         else:
             assert got == expected[table], table
+    assert np.array_equal(helpers.opposite_vertex(mesh), expected["opposite_vertex"])
+    assert np.array_equal(helpers.face_of_edge(mesh), expected["face_of_edge"])
     offsets, ring = mesh.rotation_offsets, mesh.rotation_edges
     for v in range(mesh.vertex_count):
         edges = mesh.directed_edges[ring[offsets[v]:offsets[v + 1]]]
-        assert tuple(edges[:, 1]) == mesh.rotation[v]
+        assert tuple(edges[:, 1]) == expected["rotation"][v]
         assert (edges[:, 0] == v).all()
 
 
@@ -692,22 +680,17 @@ def test_whole_floats_read_as_integers_and_fractions_rejected(grid3):
 
 def test_edge_index_view(grid4, k7):
     for mesh in (grid4[0], k7[0]):
-        view = mesh.edge_index
-        assert len(view) == 2 * mesh.edge_count
-        assert list(view) == [tuple(e) for e in mesh.directed_edges.tolist()]
         for k, (i, j) in enumerate(mesh.directed_edges.tolist()):
-            assert view[(i, j)] == k
-            assert view[(np.int64(i), np.int64(j))] == k
+            assert mesh.edge_ids(i, j) == k
+            assert mesh.edge_ids(np.int64(i), np.int64(j)) == k
         n = mesh.vertex_count
-        for bad in ((n, 0), (0, n), (-1, 0), (0, -1), (2**70, 0), (0, 0), (0,), "ab"):
-            with pytest.raises(KeyError):
-                view[bad]
-            assert bad not in view
+        for bad in ((n, 0), (0, n), (-1, 0), (0, -1), (2**70, 0), (0, 0)):
+            assert mesh.edge_ids(*bad) == -1
     mesh, _ = grid4
-    assert (0, 2) not in mesh.edge_index  # same row, not adjacent
+    assert mesh.edge_ids(0, 2) == -1  # same row, not adjacent
     ids = mesh.edge_ids(mesh.directed_edges[:, 0], mesh.directed_edges[:, 1])
     assert np.array_equal(ids, np.arange(len(mesh.directed_edges)))
-    assert mesh.edge_ids([0, 0, -1, 16], [1, 2, 1, 0]).tolist() == [view[(0, 1)], -1, -1, -1]
+    assert mesh.edge_ids([0, 0, -1, 16], [1, 2, 1, 0]).tolist() == [0, -1, -1, -1]
 
 
 def test_edge_ids_keys_do_not_overflow():

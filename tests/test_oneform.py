@@ -6,11 +6,11 @@ import pytest
 import helpers
 
 from torustutte import (
+    DiscreteOneForm,
     Placement,
     direction_form,
     generic_direction_form,
     index_theorem_check,
-    one_form_from_values,
 )
 from torustutte.errors import DegenerateVertexError
 
@@ -26,10 +26,10 @@ def antisymmetric_fill(mesh, base=0.5):
 def with_vertex_pattern(mesh, v, pattern):
     """Override the outgoing values at v (and their reverses) by pattern."""
     values = antisymmetric_fill(mesh)
-    for u, val in zip(mesh.rotation[v], pattern):
-        values[mesh.edge_index[(v, u)]] = val
-        values[mesh.edge_index[(u, v)]] = -val
-    return one_form_from_values(mesh, values)
+    for u, val in zip(helpers.ring(mesh, v), pattern):
+        values[helpers.edge_id(mesh, v, u)] = val
+        values[helpers.edge_id(mesh, u, v)] = -val
+    return DiscreteOneForm(values)
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +39,12 @@ def test_direction_form_grid_values(grid3):
     mesh, placement = grid3
     form = direction_form(mesh, placement, np.array([1.0, 0.0]))
     third = 1.0 / 3.0
-    assert form.values[mesh.edge_index[(0, 1)]] == pytest.approx(third, abs=1e-15)
-    assert form.values[mesh.edge_index[(1, 0)]] == pytest.approx(-third, abs=1e-15)
+    assert form.values[helpers.edge_id(mesh, 0, 1)] == pytest.approx(third, abs=1e-15)
+    assert form.values[helpers.edge_id(mesh, 1, 0)] == pytest.approx(-third, abs=1e-15)
     # vertical edges vanish under the horizontal direction
-    assert form.values[mesh.edge_index[(0, 3)]] == pytest.approx(0.0, abs=1e-15)
+    assert form.values[helpers.edge_id(mesh, 0, 3)] == pytest.approx(0.0, abs=1e-15)
     # diagonal edges project like horizontal ones
-    assert form.values[mesh.edge_index[(0, 4)]] == pytest.approx(third, abs=1e-15)
+    assert form.values[helpers.edge_id(mesh, 0, 4)] == pytest.approx(third, abs=1e-15)
 
 
 def test_direction_form_closed_on_faces(bumpy4):
@@ -54,33 +54,33 @@ def test_direction_form_closed_on_faces(bumpy4):
     assert np.abs(sums).max() <= 1e-15
 
 
-def test_antisymmetry_enforced(grid3):
-    mesh, _ = grid3
-    values = antisymmetric_fill(mesh)
-    values[0] = 0.25  # break the pairing
-    with pytest.raises(ValueError, match="antisymmetric"):
-        one_form_from_values(mesh, values)
-    with pytest.raises(ValueError):
-        one_form_from_values(mesh, values[:10])
+def dict_values(mesh, mapping):
+    """Edge positions of an ``{(i, j): value}`` mapping by ``edge_ids``, and its values."""
+    i, j = np.array(list(mapping), dtype=np.int64).reshape(-1, 2).T
+    return mesh.edge_ids(i, j), np.array(list(mapping.values()))
 
 
 def test_from_dict_round_trip(grid3):
     mesh, _ = grid3
     values = antisymmetric_fill(mesh, base=0.75)
-    form = one_form_from_values(mesh, values)
-    mapping = helpers.edge_mapping(mesh, values)
-    rebuilt = one_form_from_values(mesh, mesh.aligned_values(mapping, "one-form value"))
-    assert np.array_equal(rebuilt.values, form.values)
+    pos, given = dict_values(mesh, dict(reversed(helpers.edge_mapping(mesh, values).items())))
+    rebuilt = np.empty_like(values)
+    rebuilt[pos] = given
+    assert np.array_equal(rebuilt, values)
+    assert np.array_equal(rebuilt, -rebuilt[mesh.reverse_index])
 
 
 def test_from_dict_rejects_non_edges_and_gaps(grid3):
+    """A non-edge key has no position, and a dropped key leaves its edge uncovered."""
     mesh, _ = grid3
     mapping = helpers.edge_mapping(mesh, antisymmetric_fill(mesh))
-    with pytest.raises(ValueError, match=r"one-form value given for non-edge \(0, 99\)$"):
-        mesh.aligned_values({**mapping, (0, 99): 1.0}, "one-form value")
+    pos, _ = dict_values(mesh, {**mapping, (0, 99): 1.0})
+    assert pos[-1] == -1 and (pos[:-1] >= 0).all()
     del mapping[(1, 0)]
-    with pytest.raises(ValueError, match=r"missing one-form value for directed edge \(1, 0\)$"):
-        mesh.aligned_values(mapping, "one-form value")
+    pos, _ = dict_values(mesh, mapping)
+    covered = np.bincount(pos, minlength=len(mesh.directed_edges))
+    assert covered.tolist().index(0) == helpers.edge_id(mesh, 1, 0)
+    assert covered.max() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def face_form(mesh, face_index, triple):
     for k, val in zip(mesh.face_edges[face_index], triple):
         values[k] = val
         values[mesh.reverse_index[k]] = -val
-    return one_form_from_values(mesh, values)
+    return DiscreteOneForm(values)
 
 
 def test_face_sign_patterns(grid3):
@@ -185,7 +185,7 @@ def test_index_theorem_arbitrary_forms(grid4, k7, rng):
                     v = rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
                     values[k] = v
                     values[mesh.reverse_index[k]] = -v
-            report = index_theorem_check(mesh, one_form_from_values(mesh, values))
+            report = index_theorem_check(mesh, DiscreteOneForm(values))
             assert report.nonvanishing
             assert report.total == 0
 
@@ -240,7 +240,7 @@ def test_indices_match_cell_by_cell_oracle(fixture, request):
         values = rng.normal(size=len(rev))
         values[rng.uniform(size=len(rev)) < zero_share] = 0.0
         values = np.where(np.arange(len(rev)) < rev, values, -values[rev])
-        form = one_form_from_values(mesh, values)
+        form = DiscreteOneForm(values)
         report = index_theorem_check(mesh, form)
         vertex, face = helpers.oracle_indices(mesh, values, 1e-13)
         assert report.vertex_indices == vertex

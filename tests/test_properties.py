@@ -52,7 +52,7 @@ def test_directed_report_matches_left_null_closed_form(name, data):
     assert np.allclose(report.pi, pi, rtol=1e-12, atol=0)
     assert np.allclose(report.drift, drift, rtol=0, atol=atol)
     assert report.energy == pytest.approx(drift @ drift / (pi @ pi), rel=1e-11, abs=1e-20)
-    assert np.allclose(report.residuals, -np.outer(pi, drift) / (pi @ pi), rtol=0, atol=atol)
+    assert np.allclose(helpers.residual_rows(report), -np.outer(pi, drift) / (pi @ pi), rtol=0, atol=atol)
     if not report.zero_residual:
         assert np.allclose(report.direction, -drift / np.linalg.norm(drift), atol=1e-12)
 

@@ -95,7 +95,7 @@ def test_segments_cover_each_edge(bumpy4):
     root = parse(render_svg(mesh, placement))
     for g in edge_groups(root):
         i, j = (int(s) for s in g.get("data-edge").split("-"))
-        k = mesh.edge_index[(i, j)]
+        k = helpers.edge_id(mesh, i, j)
         length = math.hypot(vecs[k][0], vecs[k][1])
         drawn = 0.0
         for line in g:
