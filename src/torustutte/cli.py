@@ -16,7 +16,6 @@ from . import serialize, tutte
 from .errors import (
     DegenerateVertexError,
     MeshError,
-    NonPositiveWeightError,
     NotAdmissibleError,
     NotEmbeddedError,
     TorusTutteError,
@@ -34,10 +33,8 @@ VALIDATION_ERRORS = (
     MeshError,
     NotEmbeddedError,
     NotAdmissibleError,
-    NonPositiveWeightError,
     DegenerateVertexError,
     ValueError,
-    KeyError,
     OSError,
 )
 # Every other deliberate error is numerical, and so are Python's own
@@ -51,15 +48,15 @@ def _emit(args, obj):
 
 
 def _load(path, parse, *context):
-    """Read a JSON file and ``parse(*context, document)`` it. A value of the
-    wrong type, such as null faces or a number for a list, and a missing
-    key, such as a placement read as weights, are input errors that name the file."""
+    """Read a JSON file and ``parse(*context, document)`` it. What reading
+    raises, json's RecursionError on deep nesting too, is an input error
+    that starts with the path; an OSError names the file itself."""
     try:
         return parse(*context, serialize.load_json(path))
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: value of the wrong type: {exc}") from exc
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TorusTutteError, ValueError, LookupError, TypeError, OverflowError,
+            RecursionError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {reason}") from exc
 
 
 def cmd_validate(args):

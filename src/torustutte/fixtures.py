@@ -22,14 +22,12 @@ def _cover_mesh(faces, lattice, coords):
 
     ``faces`` is (F, 3) vertex ids, ``lattice`` the (F, 3, 2) integer
     translate of each corner and ``coords`` the (n, 2) positions in the
-    unit square. Only the wrapping edges are passed on, as in the file
-    format; the rest default to a zero shift.
+    unit square. Only the rows (i, j, bx, by) of wrapping edges are passed
+    on, as in the file format; the rest default to a zero shift.
     """
     shifts = (np.roll(lattice, -1, axis=1) - lattice).reshape(-1, 2)
-    wrap = shifts.any(axis=1)
-    src, dst = faces.ravel()[wrap].tolist(), np.roll(faces, -1, axis=1).ravel()[wrap].tolist()
-    mesh = build_mesh(faces, dict(zip(zip(src, dst), shifts[wrap].tolist())))
-    return mesh, Placement(coords)
+    rows = np.column_stack([faces.ravel(), np.roll(faces, -1, axis=1).ravel(), shifts])
+    return build_mesh(faces, rows[shifts.any(axis=1)]), Placement(coords)
 
 
 def gen_grid(m):

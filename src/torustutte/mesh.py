@@ -24,7 +24,7 @@ over the rotation's CSR arrays.
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -78,18 +78,11 @@ class TorusTriangulation:
     """
 
     def __init__(self, faces, shifts=None, vertex_count=None):
-        try:
-            faces = np.asarray(_integral(faces, "vertex id"), dtype=np.int64)
-        except OverflowError:
-            face = next(f for f in faces if any(not -2**63 <= int(v) < 2**63 for v in f))
-            raise BadFaceError(
-                f"face {tuple(map(int, face))} has a vertex id outside int64"
-            ) from None
-        if isinstance(vertex_count, float):
-            if not vertex_count.is_integer():
-                raise MeshError(f"vertex_count {vertex_count!r} is not an integer")
-            vertex_count = int(vertex_count)
-        if faces.ndim != 2 or faces.shape[1] != 3 or faces.shape[0] == 0:
+        faces = _read_table(faces, 3, 3, "faces")
+        rows = _read_table([] if shifts is None else shifts, 4, 4, "shifts")
+        if vertex_count is not None:
+            vertex_count = int(_read_table([[vertex_count]], 1, 1, "vertex_count")[0, 0])
+        if len(faces) == 0:
             raise BadFaceError("faces must be a non-empty list of vertex triples")
         if faces.min() < 0:
             raise BadFaceError("negative vertex id in face list")
@@ -181,7 +174,7 @@ class TorusTriangulation:
 
         self.vertex_count = int(vertex_count)
         self.directed_edges = directed.astype(np.int32)
-        table, moved = self._resolve_shifts(reverse_index, order, shifts)
+        table, moved = self._resolve_shifts(reverse_index, order, rows)
 
         # Only a face with a nonzero shift can fail to sum to zero.
         checked = np.unique(order[moved] // 3)
@@ -204,21 +197,23 @@ class TorusTriangulation:
         self._corner = order.astype(np.int32)
         self._cache = {}
 
-    def _resolve_shifts(self, rev, order, shifts):
-        """The int32 shift table, resolved on the given rows, and the edges
-        with a nonzero shift. order[e] is edge e's corner; a conflict names
-        the orientation met first."""
-        rows = [(*k, *v) for k, v in dict(shifts or {}).items()]
-        rows = _integral(rows or np.zeros((0, 4), dtype=np.int64), "shift entry")
+    def _resolve_shifts(self, rev, order, rows):
+        """The int32 shift table, resolved on the int64 rows (i, j, bx, by),
+        and the edges with a nonzero shift. order[e] is edge e's corner; a
+        conflict names the orientation met first."""
         pos = self.edge_ids(rows[:, 0], rows[:, 1])
         if (pos < 0).any():
             i, j = map(int, rows[np.argmax(pos < 0), :2])
             raise MeshError(f"shift given for non-edge ({i}, {j})")
+        repeated = np.bincount(pos, minlength=len(rev))[pos] > 1
+        if repeated.any():
+            i, j = map(int, rows[np.argmax(repeated), :2])
+            raise ShiftConflictError(f"duplicate shift entry for edge {(i, j)}")
         wide = ((rows[:, 2:] <= -2**31) | (rows[:, 2:] >= 2**31)).any(axis=1)
         if wide.any():
             i, j, bx, by = map(int, rows[np.argmax(wide)])
             raise MeshError(f"shift ({bx}, {by}) of edge ({i}, {j}) does not fit in int32")
-        values = rows[:, 2:].astype(np.int64)
+        values = rows[:, 2:]
         row_of = np.full(len(rev), -1)
         row_of[pos] = np.arange(len(pos))
         partner = row_of[rev[pos]]
@@ -250,21 +245,52 @@ class TorusTriangulation:
         return int(self.rotation_offsets[v + 1] - self.rotation_offsets[v])
 
 
-def _integral(values, name):
-    """``values`` as an array for an int64 cast. A value that is not a
-    number is a TypeError, and MeshError names the first float that is
-    not an integer; whole floats, and ints that NumPy read as floats
-    because they do not all fit one integer type, come back as Python
-    objects, so the cast checks their range."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iufO":
-        raise TypeError(f"a {name} is not a number")
-    if array.dtype.kind == "f":
-        bad = ~np.isfinite(array) | (array != np.trunc(array))
-        if bad.any():
-            raise MeshError(f"{name} {array.ravel()[np.argmax(bad)].item()!r} is not an integer")
-        array = np.array(values, dtype=object)
-    return array
+def _read_table(rows, width, ids, name):
+    """``rows``, a list of rows of ``width`` numbers, as an (N, width) array:
+    int64 when every column holds ids (``ids == width``), else float64.
+
+    The first ``ids`` columns hold ids, which may be written as whole
+    floats such as 1.0. ValueError names the first row that is not
+    ``width`` numbers (a bool, a string or None is not a number), that
+    holds an id that is not whole, or that holds a number outside the
+    table's dtype. An integer array, and a list of Python ints, and of
+    floats where the table is float64, are read in array passes; any
+    other table is read row by row.
+    """
+    dtype = np.int64 if ids == width else np.float64
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind == "i" and rows.shape[1:] == (width,):
+            return rows.astype(dtype)
+        rows = rows.tolist()
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"{name} is not a list of rows")
+    try:
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if kinds <= ({int} if ids == width else {int, float}) and set(map(len, rows)) <= {width}:
+            table = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
+            table = table.reshape(-1, width)
+            head = table[:, :ids]
+            if dtype is np.int64 or (np.isfinite(head) & (np.trunc(head) == head)).all():
+                return table
+    except (TypeError, OverflowError):  # a row that is not a sequence, or an int out of range
+        pass
+    values = []
+    for k, row in enumerate(rows):
+        if not isinstance(row, (list, tuple, np.ndarray)) or len(row) != width:
+            raise ValueError(f"{name} row {k} is not a list of {width} numbers")
+        for c, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} row {k}: {x!r} is not a number")
+            x = int(x) if isinstance(x, (int, np.integer)) else float(x)
+            if c < ids and x % 1 != 0:  # nan and inf too
+                raise ValueError(f"{name} row {k}: {x!r} is not an integer")
+            try:
+                values.append(dtype(int(x) if dtype is np.int64 else x))
+            except OverflowError:
+                raise ValueError(
+                    f"{name} row {k} holds a number outside {np.dtype(dtype).name}"
+                ) from None
+    return np.array(values, dtype=dtype).reshape(-1, width)
 
 
 def _connected(src, dst, n):
@@ -327,13 +353,17 @@ def build_mesh(faces, shifts=None, vertex_count=None):
     Parameters
     ----------
     faces : sequence of (i, j, k) vertex triples, counterclockwise.
-    shifts : mapping from directed edge (i, j) to a lattice vector.
-        One orientation per edge suffices; the reverse is filled by
-        antisymmetry and unlisted edges default to (0, 0).
+    shifts : sequence of rows (i, j, bx, by), the lattice vector of the
+        directed edge (i, j), as a mesh document lists them. One
+        orientation per edge suffices; the reverse is filled by
+        antisymmetry and unlisted edges default to (0, 0). A duplicate
+        row for one directed edge is a ShiftConflictError.
     vertex_count : optional explicit vertex count, at least max id + 1.
 
-    Raises the specific :class:`~torustutte.errors.MeshError` subclass
-    naming the first violated invariant.
+    A ValueError names the first malformed row of faces or shifts, or a
+    vertex count that is not an integer; then the specific
+    :class:`~torustutte.errors.MeshError` subclass names the first
+    violated invariant.
     """
     return TorusTriangulation(faces, shifts, vertex_count)
 

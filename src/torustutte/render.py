@@ -85,20 +85,21 @@ def _clip_segments(p, q):
     Returns the clipped endpoints (a, b) and a keep mask that is false
     where the intersection is empty or a single point. t0 only grows and
     t1 only shrinks, so one t0 < t1 check at the end suffices; the updates
-    keep Python's max/min choice between 0.0 and -0.0.
+    keep Python's max/min choice between 0.0 and -0.0. No den is divided
+    by where |num| >= |den|: ±2 of the quotient's sign clips as it would.
     """
     d = q - p
     t0 = np.zeros(len(p))
     t1 = np.ones(len(p))
     keep = np.ones(len(p), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for axis in (0, 1):
-            # x >= 0 boundary, then x <= 1 boundary.
-            for num, den in ((-p[:, axis], d[:, axis]), (p[:, axis] - 1.0, -d[:, axis])):
-                keep &= ~((den == 0.0) & (num > 0.0))
-                t = num / den
-                t0 = np.where((den > 0.0) & (t > t0), t, t0)
-                t1 = np.where((den < 0.0) & (t < t1), t, t1)
+    for axis in (0, 1):
+        # x >= 0 boundary, then x <= 1 boundary.
+        for num, den in ((-p[:, axis], d[:, axis]), (p[:, axis] - 1.0, -d[:, axis])):
+            keep &= ~((den == 0.0) & (num > 0.0))
+            far = np.where((num > 0.0) == (den > 0.0), 2.0, -2.0)
+            t = np.divide(num, den, out=far, where=np.abs(num) < np.abs(den))
+            t0 = np.where((den > 0.0) & (t > t0), t, t0)
+            t1 = np.where((den < 0.0) & (t < t1), t, t1)
     a = p + t0[:, None] * d
     b = p + t1[:, None] * d
     keep &= (t0 < t1) & (np.abs(a - b) >= 1e-12).any(axis=1)

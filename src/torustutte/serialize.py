@@ -10,9 +10,8 @@ import json
 
 import numpy as np
 
-from .errors import ShiftConflictError
 from .geometry import Placement
-from .mesh import build_mesh
+from .mesh import _read_table, build_mesh
 from .tutte import WeightAssignment, _validated_values
 
 
@@ -102,15 +101,8 @@ def mesh_to_json(mesh):
 
 
 def mesh_from_json(doc):
-    """Rebuild a mesh; duplicate shift rows for one directed edge are rejected,
-    and so is a value that is not an integer."""
-    shifts = {}
-    for i, j, bx, by in doc.get("shifts", []):
-        key = (i, j)
-        if key in shifts:
-            raise ShiftConflictError(f"duplicate shift entry for edge {key}")
-        shifts[key] = (bx, by)
-    return build_mesh(doc["faces"], shifts, vertex_count=doc.get("vertex_count"))
+    """Rebuild a mesh; :func:`~torustutte.mesh.build_mesh` reads the rows."""
+    return build_mesh(doc["faces"], doc.get("shifts", []), vertex_count=doc.get("vertex_count"))
 
 
 def weights_to_json(mesh, weights):
@@ -125,36 +117,16 @@ def weights_to_json(mesh, weights):
 def weights_from_json(mesh, doc):
     """Weights from ``{"weights": [[i, j, w], ...]}``, one row per directed edge.
 
-    The rows are read as one number table; ids may be whole floats such
-    as 1.0. An error names, with its row index, the first row that is
-    not three numbers (TypeError for a value that is neither a number
-    nor a string), then the first id that is not an integer; then
-    ValueError names the first duplicate row, the first directed edge
-    with no row, in ``directed_edges`` order, and the first row that is
-    not an edge. NonPositiveWeightError follows for a weight that is not
-    finite and positive.
+    The rows are read as one number table; ValueError names the first
+    row that is not three numbers or whose id is not whole, and ids may
+    be whole floats such as 1.0. Then ValueError names the first
+    duplicate row, the first directed edge with no row, in
+    ``directed_edges`` order, and the first row that is not an edge.
+    NonPositiveWeightError follows for a weight that is not finite and
+    positive.
     """
-    rows = doc["weights"]
-    try:
-        table = np.array(rows)
-    except ValueError:  # ragged rows
-        table = np.empty(0, dtype=object)
-    if table.dtype.kind not in "iuf" or table.shape[1:] != (3,):
-        for k, row in enumerate(rows):
-            if type(row) not in (list, tuple) or len(row) != 3:
-                raise ValueError(f"weights row {k} is not an [i, j, w] triple: {row!r}")
-            for x in row:
-                if not isinstance(x, (int, float)):
-                    error = ValueError if isinstance(x, str) else TypeError  # as float(x) has it
-                    raise error(f"weights row {k}: {x!r} is not a number")
-        # numbers that fit no common dtype, such as ids past int64, or no rows
-        table = np.array(rows, dtype=object).reshape(-1, 3)
+    table = _read_table(doc["weights"], 3, 2, "weights")
     ids = table[:, :2]
-    with np.errstate(invalid="ignore"):
-        fraction = ids % 1 != 0  # true for inf and nan too
-    if fraction.any():
-        k, c = divmod(int(np.argmax(fraction)), 2)
-        raise ValueError(f"weights row {k}: vertex id {table[k].tolist()[c]!r} is not an integer")
     edges = len(mesh.directed_edges)
     pos = mesh.edge_ids(ids[:, 0], ids[:, 1])
     if len(pos) != edges or (np.bincount(pos + 1, minlength=edges + 1)[1:] != 1).any():
@@ -181,7 +153,7 @@ def placement_to_json(placement):
 
 
 def placement_from_json(doc):
-    return Placement(doc["coords"])
+    return Placement(_read_table(doc["coords"], 2, 0, "coords"))
 
 
 def trace_to_jsonl(trace, path=None):

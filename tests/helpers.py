@@ -141,8 +141,14 @@ def strip_torus(rows, cols, first=0):
     return faces, shifts
 
 
+def mesh_of(faces, shifts=None, vertex_count=None):
+    """``build_mesh`` of a ``{(i, j): (bx, by)}`` shift mapping, given as its rows."""
+    rows = [(*edge, *shift) for edge, shift in (shifts or {}).items()]
+    return build_mesh(faces, rows, vertex_count)
+
+
 def canonical_shift_dict(mesh):
-    """One orientation per edge, as build_mesh accepts."""
+    """One orientation per edge, as a mapping for ``mesh_of``."""
     out = {}
     for k, (i, j) in enumerate(mesh.directed_edges):
         if i < j:
@@ -189,7 +195,7 @@ def regauged(mesh, t):
         (i, j): (bx + t[j][0] - t[i][0], by + t[j][1] - t[i][1])
         for (i, j), (bx, by) in canonical_shift_dict(mesh).items()
     }
-    return build_mesh(mesh.faces.tolist(), shifts)
+    return mesh_of(mesh.faces.tolist(), shifts)
 
 
 def grid_coords(m):
@@ -227,7 +233,7 @@ def oracle_gen_grid(m):
                 ((d, off_d), (a, off_a)),
             ):
                 shifts.setdefault((p, q), tuple(qo - po))
-    mesh = build_mesh(faces, shifts)
+    mesh = mesh_of(faces, shifts)
     return mesh, Placement(grid_coords(m))
 
 
@@ -249,7 +255,7 @@ def oracle_gen_k7():
             lam = reps[i] + np.array(step, dtype=float) - reps[j]
             b = to_torus @ lam
             shifts[(i, j)] = (int(round(b[0])), int(round(b[1])))
-    mesh = build_mesh(faces, shifts)
+    mesh = mesh_of(faces, shifts)
     coords = np.array([to_torus @ reps[i] for i in range(7)])
     return mesh, Placement(coords)
 

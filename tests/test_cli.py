@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import torustutte.cli
@@ -15,6 +23,7 @@ from torustutte import (
     Placement,
     WeightAssignment,
     gen_grid,
+    mean_value_weights,
     perturb,
     uniform_weights,
 )
@@ -22,8 +31,10 @@ from torustutte.cli import main
 from torustutte.serialize import (
     dump_json,
     load_json,
+    mesh_from_json,
     mesh_to_json,
     placement_to_json,
+    weights_from_json,
     weights_to_json,
 )
 
@@ -176,7 +187,7 @@ def test_overflowing_placement_exit_code(workspace, tmp_path, capsys, command, c
     argv = [command, "--mesh", paths["mesh"], "--placement", big, *outputs.get(command, [])]
     code, out = run(capsys, argv)
     assert code == 2
-    assert out.err == f"error: coordinate {corner[0]!r} of vertex 5 exceeds 1e+100 in magnitude\n"
+    assert out.err == f"error: {big}: coordinate {corner[0]!r} of vertex 5 exceeds 1e+100 in magnitude\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json", "mesh.json", "weights.json"]
 
 
@@ -417,7 +428,7 @@ def test_validate_huge_shift_exit_code(workspace, tmp_path, capsys):
     dump_json(doc, bad)
     code, out = run(capsys, ["validate", "--mesh", bad])
     assert code == 2
-    assert f"shift ({doc['shifts'][0][2]}, {2**70}) of edge" in out.err
+    assert out.err == f"error: {bad}: shifts row 0 holds a number outside int64\n"
 
 
 def _set(doc, key, row, column, value):
@@ -425,9 +436,9 @@ def _set(doc, key, row, column, value):
 
 
 NON_INTEGERS = {
-    "shift": (lambda doc: _set(doc, "shifts", 0, 2, -1.5), "shift entry -1.5"),
-    "vertex id": (lambda doc: _set(doc, "faces", 0, 0, 0.9), "vertex id 0.9"),
-    "vertex count": (lambda doc: doc.update(vertex_count=16.7), "vertex_count 16.7"),
+    "shift": (lambda doc: _set(doc, "shifts", 0, 2, -1.5), "shifts row 0: -1.5"),
+    "vertex id": (lambda doc: _set(doc, "faces", 0, 0, 0.9), "faces row 0: 0.9"),
+    "vertex count": (lambda doc: doc.update(vertex_count=16.7), "vertex_count row 0: 16.7"),
 }
 
 
@@ -443,7 +454,7 @@ def test_validate_non_integer_exit_code(tmp_path, capsys, case):
     code, out = run(capsys, ["validate", "--mesh", bad])
     assert code == 2
     assert out.out == ""
-    assert out.err == f"error: {named} is not an integer\n"
+    assert out.err == f"error: {bad}: {named} is not an integer\n"
 
 
 def test_validate_regauged_mesh(tmp_path, capsys):
@@ -464,7 +475,7 @@ def test_validate_huge_vertex_id_exit_code(workspace, tmp_path, capsys):
     dump_json(doc, bad)
     code, out = run(capsys, ["validate", "--mesh", bad])
     assert code == 2
-    assert f"{2**70}) has a vertex id outside int64" in out.err
+    assert out.err == f"error: {bad}: faces row 0 holds a number outside int64\n"
 
 
 def _null_first_weight(mesh):
@@ -474,11 +485,13 @@ def _null_first_weight(mesh):
 
 
 WRONGLY_TYPED = {
-    "null faces": ("mesh", lambda mesh: dict(mesh_to_json(mesh), faces=None)),
-    "null weight": ("weights", _null_first_weight),
-    "number for weights": ("weights", lambda mesh: {"weights": 5}),
+    "null faces": ("mesh", lambda mesh: dict(mesh_to_json(mesh), faces=None), "faces is not a list of rows"),
+    "null weight": ("weights", _null_first_weight, "weights row 0: None is not a number"),
+    "number for weights": ("weights", lambda mesh: {"weights": 5}, "weights is not a list of rows"),
     "top-level list": (
-        "weights", lambda mesh: weights_to_json(mesh, uniform_weights(mesh))["weights"]
+        "weights",
+        lambda mesh: weights_to_json(mesh, uniform_weights(mesh))["weights"],
+        "list indices must be integers or slices, not str",
     ),
 }
 
@@ -487,7 +500,7 @@ WRONGLY_TYPED = {
 def test_wrongly_typed_document_exit_code(workspace, tmp_path, capsys, case):
     """Valid JSON whose values have the wrong type is an input error, not a crash."""
     mesh, _, paths = workspace
-    kind, make = WRONGLY_TYPED[case]
+    kind, make, reason = WRONGLY_TYPED[case]
     bad = tmp_path / "bad.json"
     dump_json(make(mesh), bad)
     argv = ["validate", "--mesh", bad]
@@ -495,15 +508,15 @@ def test_wrongly_typed_document_exit_code(workspace, tmp_path, capsys, case):
         argv = ["energy", "--mesh", paths["mesh"], "--weights", bad]
     code, out = run(capsys, argv)
     assert code == 2
-    assert out.err.startswith(f"error: {bad}: value of the wrong type: ")
+    assert out.err == f"error: {bad}: {reason}\n"
 
 
 # a fractional, negative fractional, infinite or nan id, or a weight written as a string
 MALFORMED_ROW = {
-    "fractional id": (lambda i, j, w: [i, j + 0.5, w], "vertex id 1.5 is not an integer"),
-    "negative fractional id": (lambda i, j, w: [i - 0.5, j, w], "vertex id -0.5 is not an integer"),
-    "infinite id": (lambda i, j, w: [i, float("inf"), w], "vertex id inf is not an integer"),
-    "nan id": (lambda i, j, w: [float("nan"), j, w], "vertex id nan is not an integer"),
+    "fractional id": (lambda i, j, w: [i, j + 0.5, w], "1.5 is not an integer"),
+    "negative fractional id": (lambda i, j, w: [i - 0.5, j, w], "-0.5 is not an integer"),
+    "infinite id": (lambda i, j, w: [i, float("inf"), w], "inf is not an integer"),
+    "nan id": (lambda i, j, w: [float("nan"), j, w], "nan is not an integer"),
     "string weight": (lambda i, j, w: [i, j, str(w)], f"{str(5.85)!r} is not a number"),
 }
 
@@ -527,7 +540,7 @@ def test_malformed_weights_row_exit_code(tmp_path, capsys, case, command):
     code, out = run(capsys, [command, "--mesh", paths["mesh"], "--weights", paths["weights"], *extra])
     assert code == 2
     assert out.out == ""
-    assert out.err == f"error: weights row 0: {named}\n"
+    assert out.err == f"error: {paths['weights']}: weights row 0: {named}\n"
 
 
 def _without(doc, key):
@@ -564,6 +577,15 @@ def test_missing_key_exit_code(workspace, tmp_path, capsys, case):
     code, out = run(capsys, argv(paths, bad))
     assert code == 2
     assert out.err == f"error: {bad}: missing key '{key}'\n"
+
+
+def test_deeply_nested_document_exit_code(tmp_path, capsys):
+    """json gives up on deep nesting with a RecursionError: an input error naming the file."""
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"faces": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out = run(capsys, ["validate", "--mesh", bad])
+    assert code == 2
+    assert out.err.startswith(f"error: {bad}: maximum recursion depth exceeded")
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -743,3 +765,133 @@ def test_each_placement_certified_once(tmp_path, capsys, monkeypatch):
         "--steps", 5, "--out-dir", tmp_path / "frames",
     ])
     assert (code, calls[0]) == (0, 7)
+
+
+# ---------------------------------------------------------------------------
+# One input boundary: a corrupted document exits 2 with an error naming it
+
+@functools.cache
+def fuzz_documents():
+    """The documents of gen --size 4 --perturb 0.05 --seed 1 and its mvc weights."""
+    mesh, placement = gen_grid(4)
+    placement = perturb(mesh, placement, 0.05, 1)
+    return {
+        "mesh": mesh_to_json(mesh),
+        "placement": placement_to_json(placement),
+        "weights": weights_to_json(mesh, mean_value_weights(mesh, placement)),
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for kind, doc in fuzz_documents().items():
+        dump_json(doc, root / f"{kind}.json")
+    return root
+
+
+# the command lines that read a document of each kind from ``bad``; none of
+# them fails an input that reads for a reason other than its numbers
+READERS = {
+    "mesh": [["validate", "--mesh", "{bad}"]],
+    "placement": [
+        ["validate", "--mesh", "{dir}/mesh.json", "--placement", "{bad}"],
+        ["render", "--mesh", "{dir}/mesh.json", "--placement", "{bad}", "--out", "{dir}/out.svg"],
+        ["index", "--mesh", "{dir}/mesh.json", "--placement", "{bad}"],
+    ],
+    "weights": [["energy", "--mesh", "{dir}/mesh.json", "--weights", "{bad}"]],
+}
+
+
+def run_reader(kind, root, doc):
+    """Exit code and stderr of each command that reads ``doc``, written as
+    bad.json, run with warnings raised as errors."""
+    bad = root / "bad.json"
+    bad.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    results = []
+    for argv in READERS[kind]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([a.format(bad=bad, dir=root) for a in argv])
+        results.append((code, err.getvalue()))
+    return bad, results
+
+
+def corrupt(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+# the recipe's replacement values for one leaf or row
+CORRUPTIONS = [
+    10**400, -10**400, 2**63, -1, 0, 1.5, -0.5, "x", "1", None, [], {}, True, False,
+    1e308, -1e308, 1e-320, math.nan, math.inf, [1, 2, 3],
+]
+
+
+@st.composite
+def corrupted_documents(draw):
+    kind = draw(st.sampled_from(sorted(READERS)))
+    doc = fuzz_documents()[kind]
+    key = draw(st.sampled_from(sorted(doc)))
+    path = (key,)
+    if isinstance(doc[key], list):
+        row = draw(st.integers(0, len(doc[key]) - 1))
+        leaf = draw(st.none() | st.integers(0, len(doc[key][row]) - 1))
+        path = (key, row) if leaf is None else (key, row, leaf)
+    return kind, corrupt(doc, path, draw(st.sampled_from(CORRUPTIONS)))
+
+
+@settings(max_examples=300)
+@given(case=corrupted_documents())
+def test_corrupted_document_exits_2_naming_it(fuzz_dir, case):
+    """One leaf or row replaced: exit 0, or exit 2 with an error that starts
+    with the file's path. A weights document that reads may still overflow
+    the balance solve, a numerical failure (exit 3), as a weight of 1e308
+    at vertex 0 does."""
+    kind, doc = case
+    bad, results = run_reader(kind, fuzz_dir, doc)
+    for code, err in results:
+        if code == 3:
+            assert kind == "weights" and "not finite" in err
+            mesh = mesh_from_json(fuzz_documents()["mesh"])
+            weights_from_json(mesh, doc)
+        else:
+            assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith(f"error: {bad}: "), err
+
+
+# the corruptions of fuzz_documents() that the parent read wrongly, and the
+# reason the error gives after the path
+NAMED_CORRUPTIONS = {
+    "weight 1e400": ("weights", ("weights", 0, 2), 10**400, "weights row 0 holds a number outside float64"),
+    "coordinate 1e400": ("placement", ("coords", 3, 0), 10**400, "coords row 3 holds a number outside float64"),
+    "shift 1e400": ("mesh", ("shifts", 0, 2), 10**400, "shifts row 0 holds a number outside int64"),
+    "shift 1e308": ("mesh", ("shifts", 0, 2), 1e308, "shifts row 0 holds a number outside int64"),
+    "face id true": ("mesh", ("faces", 3, 1), True, "faces row 3: True is not a number"),
+    "shift true": ("mesh", ("shifts", 0, 2), True, "shifts row 0: True is not a number"),
+    "weight true": ("weights", ("weights", 0, 2), True, "weights row 0: True is not a number"),
+    "coordinate true": ("placement", ("coords", 3, 0), True, "coords row 3: True is not a number"),
+    "vertex count false": ("mesh", ("vertex_count",), False, "vertex_count row 0: False is not a number"),
+    "repeated face vertex": ("mesh", ("faces", 0, 1), 0, "face (0, 0, 5) repeats a vertex"),
+    "duplicate weights row": ("weights", ("weights", 1), [0, 1, 1.0], "duplicate weight entry for edge (0, 1)"),
+    "short weights row": ("weights", ("weights", 0), [0, 1], "weights row 0 is not a list of 3 numbers"),
+    "weights row moved to a non-edge": (
+        "weights", ("weights", 0), [0, 2, 1.0], "missing weight for directed edge (0, 1)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NAMED_CORRUPTIONS))
+def test_named_corruption_exits_2_naming_the_file(fuzz_dir, case):
+    kind, path, value, reason = NAMED_CORRUPTIONS[case]
+    bad, results = run_reader(kind, fuzz_dir, corrupt(fuzz_documents()[kind], path, value))
+    for code, err in results:
+        assert (code, err) == (2, f"error: {bad}: {reason}\n")

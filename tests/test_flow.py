@@ -14,7 +14,6 @@ from torustutte import (
     WeightAssignment,
     asymmetry_gate,
     balance_energy,
-    build_mesh,
     flow_constants,
     gen_grid,
     loop_gap,
@@ -388,7 +387,7 @@ def test_retract_names_an_underflowing_gate_scale(monkeypatch):
 def test_energy_slope_matches_central_difference(grid6):
     """The closed-form dE/dt along the field agrees with a central difference."""
     faces, shifts = helpers.random_diagonal_grid(5, np.random.default_rng(3))
-    for mesh in (grid6[0], build_mesh(faces, shifts)):
+    for mesh in (grid6[0], helpers.mesh_of(faces, shifts)):
         values = np.random.default_rng(0).uniform(0.5, 2.0, len(mesh.directed_edges))
         weights = WeightAssignment(values)
         velocity = helpers.flow_velocity(mesh, weights)

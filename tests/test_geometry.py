@@ -229,14 +229,12 @@ def test_total_area_constant_in_coords(grid3, rng):
 
 def test_doubled_shifts_give_degree_four(grid3):
     """Doubling the shifts doubles both winding classes: a 4-fold cover."""
-    from torustutte import build_mesh
-
     mesh, placement = grid3
     doubled = {}
     for k, (i, j) in enumerate(mesh.directed_edges):
         if i < j:
             doubled[(int(i), int(j))] = tuple(2 * int(x) for x in mesh.shifts[k])
-    covering = build_mesh([tuple(f) for f in mesh.faces], doubled)
+    covering = helpers.mesh_of([tuple(f) for f in mesh.faces], doubled)
     report = verify_embedding(covering, Placement(2.0 * placement.coords))
     assert not report.is_embedding  # every face positive, wrong total
     assert report.min_area > 0

@@ -7,7 +7,6 @@ import helpers
 from torustutte import (
     Placement,
     WeightAssignment,
-    build_mesh,
     check_balanced,
     gen_grid,
     mean_value_weights,
@@ -103,7 +102,7 @@ def test_batched_weights_match_per_edge_formula(m, diagonal):
     """The batched lookups give the per-edge loop's weights."""
     rng = np.random.default_rng(m)
     if diagonal:
-        mesh = build_mesh(*helpers.random_diagonal_grid(m, rng))
+        mesh = helpers.mesh_of(*helpers.random_diagonal_grid(m, rng))
     else:
         mesh, _ = gen_grid(m)
     coords = helpers.grid_coords(m) + rng.uniform(-0.1, 0.1, (m * m, 2)) / m
@@ -119,7 +118,7 @@ def test_corner_neighbours_match_edge_id_lookup(m, diagonal, k7):
     """Neighbour edges read off the corners give the edge_ids lookup's weights bit for bit."""
     rng = np.random.default_rng(m)
     if diagonal:
-        mesh = build_mesh(*helpers.random_diagonal_grid(m, rng))
+        mesh = helpers.mesh_of(*helpers.random_diagonal_grid(m, rng))
     else:
         mesh, _ = gen_grid(m)
     coords = helpers.grid_coords(m) + rng.uniform(-0.1, 0.1, (m * m, 2)) / m

@@ -8,7 +8,6 @@ import pytest
 import helpers
 from torustutte import (
     Placement,
-    build_mesh,
     edge_vectors,
     face_signed_areas,
     gen_grid,
@@ -151,7 +150,7 @@ def test_matches_scalar_renderer(grid3, grid4, bumpy3, bumpy4, k7):
     mesh3, seam = grid3
     folded = folded_grid3(grid3)
     rng = np.random.default_rng(12)
-    diagonal = build_mesh(*helpers.random_diagonal_grid(12, rng))
+    diagonal = helpers.mesh_of(*helpers.random_diagonal_grid(12, rng))
     coords = helpers.grid_coords(12) + rng.uniform(-0.1, 0.1, (144, 2)) / 12
     coords[0] = 0.0
     # vertex 3 sits 5e-13 inside the seam x = 1: the edge 3-4 leaves a
@@ -264,3 +263,18 @@ def test_render_memory_stays_near_output_size():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * len(svg), peak / len(svg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e-320, -1e-320])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_subnormal_coordinate_clips_without_overflow(axis, value):
+    """gen --size 4 --perturb 0.05 --seed 1 with vertex 1 moved to a subnormal
+    x or y: edges clip to the scalar renderer's bytes, and no den is divided by."""
+    mesh, placement = gen_grid(4)
+    coords = perturb(mesh, placement, 0.05, 1).coords.copy()
+    coords[1, axis] = value
+    moved = Placement(coords)
+    with np.errstate(over="ignore"):  # the oracle divides NumPy scalars, to inf
+        expected = helpers.oracle_render_svg(mesh, moved)
+    assert render_svg(mesh, moved) == expected

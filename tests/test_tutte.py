@@ -10,7 +10,6 @@ from torustutte import (
     ALREADY_ADMISSIBLE,
     WeightAssignment,
     balance_energy,
-    build_mesh,
     gen_grid,
     gen_k7,
     loop_gap,
@@ -281,7 +280,7 @@ def test_residual_structure_random(grid3, rng):
 RESIDUAL_MESHES = {
     "grid3": lambda: gen_grid(3)[0],
     "k7": lambda: gen_k7()[0],
-    "diagonal12": lambda: build_mesh(
+    "diagonal12": lambda: helpers.mesh_of(
         *helpers.random_diagonal_grid(12, np.random.default_rng(12))
     ),
     "grid32": lambda: gen_grid(32)[0],
