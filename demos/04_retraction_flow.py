@@ -32,10 +32,8 @@ weights = WeightAssignment(values)
 
 print(f"start energy {balance_energy(mesh, weights):.6e}")
 constants = flow_constants(mesh, weights)
-print(f"guaranteed decay rate {constants.decay_rate:.3e}, "
-      f"time bound {constants.time_bound:.1f}")
-print(f"in log form, which stays finite at every size: log rate "
-      f"{constants.log_decay_rate:.3f}, log time bound {constants.log_time_bound:.3f}")
+print(f"guaranteed decay rate, in log form, which stays finite at every size: "
+      f"log rate {constants.log_decay_rate:.3f}, log time bound {constants.log_time_bound:.3f}")
 
 trace = retract(mesh, weights)
 print(f"\nstatus {trace.status} after {trace.steps} steps "

@@ -1,9 +1,10 @@
 """Render placements to SVG, wrapping edges across the torus seams.
 
-Each edge is drawn in all nine unit translates and clipped to the
-fundamental square, so a seam edge shows up as the usual split
-segments. Faces with negative signed area are filled as highlighted
-polygons, which makes folded placements easy to spot.
+Each edge is drawn as one line under every unit translate that meets
+the fundamental square, and the SVG viewport clips the lines to it, so
+a seam edge shows up as the usual split segments. Faces with negative
+signed area are filled as highlighted polygons, which makes folded
+placements easy to spot.
 """
 
 from pathlib import Path

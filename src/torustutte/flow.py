@@ -12,13 +12,13 @@ growing at most exponentially, never decreases them, and strictly
 dissipates the balance energy at a rate bounded through a handful of
 derived constants:
 
-    loop_gap    guaranteed depth of the most negative projection,
-                1 / (sqrt(2) * max generator loop length)
-    min_weight  smallest weight, never decreases along the flow
-    asym_bound  max(2, largest |w_ij - w_ji|), never increases
-    gate_scale  loop_gap / (2 E + sum of 1/w_ij), the G argument scale
-    decay_rate  lower bound on -d sqrt(energy)/dt
-    time_bound  2 sqrt(energy) / decay_rate, time to reach energy zero
+    loop_gap        guaranteed depth of the most negative projection,
+                    1 / (sqrt(2) * max generator loop length)
+    min_weight      smallest weight, never decreases along the flow
+    asym_bound      max(2, largest |w_ij - w_ji|), never increases
+    gate_scale      loop_gap / (2 E + sum of 1/w_ij), the G argument scale
+    log_decay_rate  log of a lower bound r on -d sqrt(energy)/dt
+    log_time_bound  log of 2 sqrt(energy) / r, time to reach energy zero
 
 Integration is explicit Euler with step acceptance: a step counts only
 if the energy strictly drops and the asymmetry bound does not grow;
@@ -68,9 +68,7 @@ class FlowConstants:
     min_weight: float
     asym_bound: float
     gate_scale: float
-    decay_rate: float
-    time_bound: float
-    # natural logarithms of the two above, finite where those underflow
+    # natural logarithms, finite where the rate itself underflows
     log_decay_rate: float
     log_time_bound: float
 
@@ -146,9 +144,9 @@ def _gate_scale(mesh, values):
 def flow_constants(mesh, weights):
     """Derived constants of the flow at the given weights.
 
-    The time bound reads the balance energy of the weights. The decay
-    rate is formed through its logarithm; when it underflows it is 0.0
-    and the time bound is infinite, while both logarithms stay finite.
+    The time bound reads the balance energy of the weights. Both are
+    kept as logarithms, which stay finite where the decay rate itself
+    underflows to 0.0, as it does from ``gen_grid(32)`` up.
     """
     values = _validated_values(mesh, weights)
     energy = balance_energy(mesh, weights)
@@ -158,14 +156,11 @@ def flow_constants(mesh, weights):
     asym = _asym_bound(values, mesh.reverse_index)
     log_rate = math.log(gap * lo / asym) - math.log(2.0 * math.sqrt(n))
     log_rate -= (n - 1) * math.log1p(asym / lo)
-    decay_rate = math.exp(log_rate)
     return FlowConstants(
         loop_gap=gap,
         min_weight=lo,
         asym_bound=asym,
         gate_scale=_gate_scale(mesh, values),
-        decay_rate=decay_rate,
-        time_bound=2.0 * math.sqrt(energy) / decay_rate if decay_rate > 0 else math.inf,
         log_decay_rate=log_rate,
         log_time_bound=math.log(2.0 * math.sqrt(energy)) - log_rate if energy > 0 else -math.inf,
     )

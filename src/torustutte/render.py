@@ -1,30 +1,32 @@
 """SVG rendering of placements on the fundamental square [0,1]^2.
 
-Every edge is drawn from its lift under the nine unit translates and
-clipped to the square, so edges crossing the seam show up on both
-sides. Edges go in blocks of 4096: per block, one vectorized
-Liang-Barsky pass clips the (edge, translate) rows whose translate can
-reach the square, in (edge, translate) order, so the output is that of
-clipping all nine edge by edge. The block's edge groups are then
-written as one array of byte-string records, one per piece, with the
-digits of every number looked up in tables; the bytes are those
-``%.3f`` and ``%d`` write. Faces with negative signed area are filled as a warning layer
-under the edges, clipped one (face, translate) pair at a time where
-the pair's bounding box meets the square.
+Every edge is drawn as one line under each unit translate whose box
+meets the square, and the SVG viewport clips it, so edges crossing the
+seam show up on both sides. An edge longer than 3 is first cut to
+length 3 along itself: its drawn start lies in [-1, 2]^2, within
+2 sqrt(2) of every point of the square, so the picture does not change,
+and every pixel value stays in [-4 size, 5 size]. Edges go in blocks of
+4096, written as byte-string records with the digits of every number
+looked up in tables; the bytes are those ``%.3f`` and ``%d`` write.
+Faces with negative signed area are filled as a warning layer under the
+edges, clipped one (face, translate) pair at a time where the pair's
+bounding box meets the square.
 """
 
 import numbers
+import re
 
 import numpy as np
 
 from .geometry import _signed_areas, edge_vectors
 
-_OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
-_SHIFTS = np.array(_OFFSETS, dtype=float)
-_LINE = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="#27496d" stroke-width="1.4"/>'
-_HEAD, _TAIL = '<g class="edge" data-edge="', "</g>\n"
+_SHIFTS = np.array([(ox, oy) for ox in (-1.0, 0.0, 1.0) for oy in (-1.0, 0.0, 1.0)])
+_LINE = (
+    '<line class="edge" data-edge="%d-%d" x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+    'stroke="#27496d" stroke-width="1.4"/>'
+)
 _BLOCK = 4096
-MAX_SIZE = 10**15  # keeps every pixel value times 1000 inside int64
+MAX_SIZE = 10**15  # keeps every pixel value, at most 5 * size, times 1000 inside int64
 # Three-digit chunks as S3 strings: "000" to "999"; then unpadded, with 0
 # as "" for a leading chunk; then unpadded, with 0 as "0" for a lone one.
 _CHUNKS = np.array([b"%03d" % k for k in range(1000)] + [b"%d" % k for k in range(1000)] * 2)
@@ -43,16 +45,10 @@ def _decimal(values):
     return out.view(f"S{3 * chunks}").ravel()
 
 
-def _write_groups(ids, n, px, id_digits):
-    """Edge groups of one block as bytes, each followed by a newline, from
-    the (i, j) rows ``ids``, the pieces ``n`` of each edge, the pixel values
-    ``px`` of every piece and the :func:`_decimal` table ``id_digits``. A
-    record holds a piece, the head of its group if first and the tail if
-    last; an edge without pieces gets one record with neither."""
-    rows = np.maximum(n, 1)
-    last = np.cumsum(rows) - 1
-    first = last - rows + 1
-    lines = slice(None) if n.all() else np.repeat(n > 0, rows)
+def _write_lines(ids, px, id_digits):
+    """Edge lines as bytes, each followed by a newline, from the (i, j) rows
+    ``ids``, the pixel values ``px`` (x1, y1, x2, y2) of every line and the
+    :func:`_decimal` table ``id_digits``."""
     # q = |x| * 1000 rounded as %.3f rounds: rint of the product, or %.3f
     # itself where the product's error, at most scaled * 2**-53, may cross a tie.
     scaled = np.abs(px) * 1000.0
@@ -64,56 +60,27 @@ def _write_groups(ids, n, px, id_digits):
     whole = _decimal(whole.ravel()).reshape(whole.shape)
     signs = np.where(np.signbit(px), b"-", b"")
 
-    fields = [(_HEAD, first), (id_digits[ids[:, 0]], first), ("-", first),
-              (id_digits[ids[:, 1]], first), ('">', first)]
-    for k, text in enumerate(_LINE.split("%.3f")):
-        fields.append((text, lines))
-        if k < 4:
-            fields += [(signs[:, k], lines), (whole[:, k], lines), (_FRACS[frac[:, k]], lines)]
-    fields.append((_TAIL, last))
-    dtype = [(f"f{k}", np.asarray(value, "S").dtype) for k, (value, _) in enumerate(fields)]
-    out = np.zeros(last[-1] + 1, dtype)
-    for k, (value, at) in enumerate(fields):
-        out[f"f{k}"][at] = value
+    values = [[id_digits[ids[:, 0]]], [id_digits[ids[:, 1]]]]
+    values += [[signs[:, k], whole[:, k], _FRACS[frac[:, k]]] for k in range(4)]
+    fields = []
+    for text, value in zip(re.split(r"%d|%\.3f", _LINE), values + [[b"\n"]]):
+        fields += [text, *value]
+    dtype = [(f"f{k}", np.asarray(value, "S").dtype) for k, value in enumerate(fields)]
+    out = np.zeros(len(px), dtype)
+    for k, value in enumerate(fields):
+        out[f"f{k}"] = value
     raw = out.view(np.uint8)  # unused bytes are 0
     return raw[raw != 0].tobytes()
 
 
-def _clip_segments(p, q):
-    """Liang-Barsky clip of the segments p[k] -> q[k], (N, 2) arrays, to the unit square.
-
-    Returns the clipped endpoints (a, b) and a keep mask that is false
-    where the intersection is empty or a single point. t0 only grows and
-    t1 only shrinks, so one t0 < t1 check at the end suffices; the updates
-    keep Python's max/min choice between 0.0 and -0.0. No den is divided
-    by where |num| >= |den|: ±2 of the quotient's sign clips as it would.
-    """
-    d = q - p
-    t0 = np.zeros(len(p))
-    t1 = np.ones(len(p))
-    keep = np.ones(len(p), dtype=bool)
-    for axis in (0, 1):
-        # x >= 0 boundary, then x <= 1 boundary.
-        for num, den in ((-p[:, axis], d[:, axis]), (p[:, axis] - 1.0, -d[:, axis])):
-            keep &= ~((den == 0.0) & (num > 0.0))
-            far = np.where((num > 0.0) == (den > 0.0), 2.0, -2.0)
-            t = np.divide(num, den, out=far, where=np.abs(num) < np.abs(den))
-            t0 = np.where((den > 0.0) & (t > t0), t, t0)
-            t1 = np.where((den < 0.0) & (t < t1), t, t1)
-    a = p + t0[:, None] * d
-    b = p + t1[:, None] * d
-    keep &= (t0 < t1) & (np.abs(a - b) >= 1e-12).any(axis=1)
-    return a, b, keep
-
-
 def _meeting_translates(lo, hi):
-    """(row, k) of every row's unit translate ``_OFFSETS[k]`` under which the
+    """(row, k) of every row's unit translate ``_SHIFTS[k]`` under which the
     closed box [lo, hi], (N, 2) arrays, meets [0, 1]^2, in (row, k) order.
-    lo + o rounds as the clip's x + ox does, so a row left out is one whose
-    clip keeps nothing."""
+    lo + o rounds as x + ox does for the box's points, so a row left out
+    is one that shows nothing in the square."""
     meets = np.stack([(lo + o <= 1.0) & (hi + o >= 0.0) for o in (-1.0, 0.0, 1.0)], axis=1)
     reach = meets[:, :, None, 0] & meets[:, None, :, 1]
-    return np.divmod(np.flatnonzero(reach), len(_OFFSETS))
+    return np.divmod(np.flatnonzero(reach), len(_SHIFTS))
 
 
 def _clip_polygon(points):
@@ -142,6 +109,10 @@ def _clip_polygon(points):
 def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
     """Render a placement to an SVG string.
 
+    Each edge i-j is drawn as ``<line class="edge" data-edge="i-j" .../>``
+    under every unit translate whose box meets the square, unclipped; the
+    root's viewport clips them. Pixel values lie in [-4 size, 5 size].
+
     Parameters
     ----------
     size : pixel width and height of the output square, an integer from
@@ -157,7 +128,7 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'viewBox="0 0 {size} {size}" overflow="hidden">',
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#fdfdfb" '
         'stroke="#888" stroke-width="1"/>',
     ]
@@ -171,8 +142,7 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
         # square. Rounding is monotone, so the box of the shifted points is
         # the shifted box; a box that only touches the square is still clipped.
         for row, k in zip(*_meeting_translates(tris.min(axis=1), tris.max(axis=1))):
-            ox, oy = _OFFSETS[k]
-            poly = _clip_polygon([(x + ox, y + oy) for x, y in tris[row].tolist()])
+            poly = _clip_polygon((tris[row] + _SHIFTS[k]).tolist())
             if len(poly) >= 3:
                 pts = " ".join(f"{x * size:.3f},{(1.0 - y) * size:.3f}" for x, y in poly)
                 parts.append(
@@ -180,21 +150,21 @@ def render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
                     f'points="{pts}" fill="#e4572e" fill-opacity="0.45" stroke="none"/>'
                 )
 
-    # Edges go in blocks, which keep the clip arrays and the records small.
+    # Edges go in blocks, which keep the line arrays and the records small.
     id_digits = _decimal(np.arange(mesh.vertex_count))
     drawn = np.flatnonzero(mesh.directed_edges[:, 0] <= mesh.directed_edges[:, 1])
     for start in range(0, len(drawn), _BLOCK):
         edges = drawn[start : start + _BLOCK]
         a = pos[mesh.directed_edges[edges, 0]]
-        b = a + vecs[edges]
-        # Clip only the translates under which the edge's box meets [0, 1]^2.
+        # Cut an edge longer than 3 to length 3; the factor is 1.0 for the others.
+        d = vecs[edges]
+        b = a + d * (3.0 / np.maximum(np.hypot(d[:, 0], d[:, 1]), 3.0))[:, None]
+        # Draw only the translates under which the edge's box meets [0, 1]^2.
         row, k = _meeting_translates(np.minimum(a, b), np.maximum(a, b))
-        p, q, keep = _clip_segments(a[row] + _SHIFTS[k], b[row] + _SHIFTS[k])
-        ends = np.hstack([p[keep], q[keep]])
+        ends = np.hstack([a[row] + _SHIFTS[k], b[row] + _SHIFTS[k]])
         # Pixel x is x * size and pixel y is (1 - y) * size.
         px = np.where([True, False, True, False], ends, 1.0 - ends) * size
-        n = np.bincount(row[keep], minlength=len(edges))
-        parts.append(_write_groups(mesh.directed_edges[edges], n, px, id_digits)[:-1].decode())
+        parts.append(_write_lines(mesh.directed_edges[edges][row], px, id_digits)[:-1].decode())
 
     if labels:
         # np.mod gives exactly 1.0 for tiny negative coordinates; that is 0.0

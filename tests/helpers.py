@@ -826,9 +826,12 @@ def _oracle_clip_segment(p, q):
     return a, b
 
 
-def oracle_render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
-    """render_svg with a per-edge loop of nine scalar clips, one per unit translate."""
-    offsets = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+_ORACLE_OFFSETS = [(ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1)]
+
+
+def _oracle_svg(mesh, placement, size, labels, highlight_flipped, root, edge_lines):
+    """The SVG frame, flipped faces and labels around the edge layer that
+    ``edge_lines(i, j, a, b)`` writes for the lifted edge a -> b."""
     vecs = edge_vectors(mesh, placement)
     areas = face_signed_areas(mesh, placement)
     pos = np.mod(placement.coords, 1.0)
@@ -838,7 +841,7 @@ def oracle_render_svg(mesh, placement, size=800, labels=False, highlight_flipped
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'viewBox="0 0 {size} {size}"{root}>',
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#fdfdfb" '
         'stroke="#888" stroke-width="1"/>',
     ]
@@ -852,7 +855,7 @@ def oracle_render_svg(mesh, placement, size=800, labels=False, highlight_flipped
                 tuple(base + vecs[e_ij]),
                 tuple(base + vecs[e_ij] + vecs[e_jk]),
             ]
-            for ox, oy in offsets:
+            for ox, oy in _ORACLE_OFFSETS:
                 poly = _clip_polygon([(x + ox, y + oy) for x, y in tri])
                 if len(poly) >= 3:
                     pts = " ".join(to_px(p) for p in poly)
@@ -864,9 +867,51 @@ def oracle_render_svg(mesh, placement, size=800, labels=False, highlight_flipped
         if i > j:
             continue
         a = pos[int(i)]
-        b = a + vecs[k]
+        parts.extend(edge_lines(int(i), int(j), a, a + vecs[k]))
+    if labels:
+        for v, p in enumerate(pos):
+            parts.append(
+                f'<text x="{p[0] * size + 4:.1f}" y="{(1.0 - p[1]) * size - 4:.1f}" '
+                f'font-size="{max(10, size // 60)}" fill="#b33">{v}</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def oracle_render_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
+    """render_svg with a loop over (edge, translate) pairs: an edge longer
+    than 3 is cut to length 3, and each translate whose box meets the
+    closed square writes one unclipped line with %d and %.3f."""
+
+    def edge_lines(i, j, a, b):
+        d = b - a
+        length = np.hypot(d[0], d[1])
+        if length > 3.0:
+            b = a + d * (3.0 / length)
+        lines = []
+        for ox, oy in _ORACLE_OFFSETS:
+            p, q = (a[0] + ox, a[1] + oy), (b[0] + ox, b[1] + oy)
+            if all(min(p[k], q[k]) <= 1.0 and max(p[k], q[k]) >= 0.0 for k in (0, 1)):
+                lines.append(
+                    '<line class="edge" data-edge="%d-%d" x1="%.3f" y1="%.3f" x2="%.3f" '
+                    'y2="%.3f" stroke="#27496d" stroke-width="1.4"/>'
+                    % (i, j, p[0] * size, (1.0 - p[1]) * size, q[0] * size, (1.0 - q[1]) * size)
+                )
+        return lines
+
+    return _oracle_svg(mesh, placement, size, labels, highlight_flipped, ' overflow="hidden"', edge_lines)
+
+
+def oracle_clipped_svg(mesh, placement, size=800, labels=False, highlight_flipped=True):
+    """The reference picture: the earlier renderer, which clipped each edge
+    under the nine unit translates to the square and grouped its pieces."""
+
+    def to_px(p):
+        return f"{p[0] * size:.3f},{(1.0 - p[1]) * size:.3f}"
+
+    def edge_lines(i, j, a, b):
         segs = []
-        for ox, oy in offsets:
+        for ox, oy in _ORACLE_OFFSETS:
             clip = _oracle_clip_segment((a[0] + ox, a[1] + oy), (b[0] + ox, b[1] + oy))
             if clip is not None:
                 segs.append(clip)
@@ -876,15 +921,9 @@ def oracle_render_svg(mesh, placement, size=800, labels=False, highlight_flipped
             'stroke="#27496d" stroke-width="1.4"/>'
             for p, q in segs
         )
-        parts.append(f'<g class="edge" data-edge="{int(i)}-{int(j)}">{lines}</g>')
-    if labels:
-        for v, p in enumerate(pos):
-            parts.append(
-                f'<text x="{p[0] * size + 4:.1f}" y="{(1.0 - p[1]) * size - 4:.1f}" '
-                f'font-size="{max(10, size // 60)}" fill="#b33">{v}</text>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
+        return [f'<g class="edge" data-edge="{i}-{j}">{lines}</g>']
+
+    return _oracle_svg(mesh, placement, size, labels, highlight_flipped, "", edge_lines)
 
 
 # ---------------------------------------------------------------------------

@@ -118,25 +118,29 @@ def test_flow_constants_uniform_grid(grid3):
     assert constants.gate_scale == pytest.approx(gap / 108.0, rel=1e-14)
     assert constants.gate_scale == pytest.approx(0.0021824283369955167, rel=1e-13)
     # (gap L / M) / (2 sqrt(9) (1 + M/L)^8) = gap / (2 * 2 * 3 * 3**8)
-    assert constants.decay_rate == pytest.approx(gap / 78732.0, rel=1e-13)
-    assert constants.decay_rate == pytest.approx(2.9937288573326703e-06, rel=1e-12)
-    assert constants.time_bound == pytest.approx(
-        2.0 * math.sqrt(balance_energy(mesh, weights)) / constants.decay_rate, rel=1e-13
+    assert constants.log_decay_rate == pytest.approx(math.log(gap / 78732.0), rel=1e-13)
+    assert constants.log_decay_rate == pytest.approx(math.log(2.9937288573326703e-06), rel=1e-12)
+    assert constants.log_time_bound == pytest.approx(
+        math.log(2.0 * math.sqrt(balance_energy(mesh, weights))) - constants.log_decay_rate,
+        rel=1e-13,
     )
 
 
 def test_flow_constants_log_form():
-    """The log fields stay finite where decay_rate underflows, and match it where it does not."""
+    """The log fields stay finite where the decay rate underflows, and are
+    the logs of the rate and of the time bound where it does not."""
     rng = np.random.default_rng(0)
     mesh, _ = gen_grid(32)
     constants = flow_constants(mesh, WeightAssignment(rng.uniform(0.5, 2.0, len(mesh.shifts))))
-    assert constants.decay_rate == 0.0 and constants.time_bound == math.inf
+    assert math.exp(constants.log_decay_rate) == 0.0
     assert math.isfinite(constants.log_decay_rate) and math.isfinite(constants.log_time_bound)
     mesh, _ = gen_grid(3)
-    constants = flow_constants(mesh, WeightAssignment(rng.uniform(0.5, 2.0, len(mesh.shifts))))
-    assert constants.decay_rate > 0.0
-    assert math.exp(constants.log_decay_rate) == pytest.approx(constants.decay_rate, rel=1e-12)
-    assert math.exp(constants.log_time_bound) == pytest.approx(constants.time_bound, rel=1e-12)
+    weights = WeightAssignment(rng.uniform(0.5, 2.0, len(mesh.shifts)))
+    constants = flow_constants(mesh, weights)
+    rate = math.exp(constants.log_decay_rate)
+    assert rate > 0.0
+    time_bound = 2.0 * math.sqrt(balance_energy(mesh, weights)) / rate
+    assert math.exp(constants.log_time_bound) == pytest.approx(time_bound, rel=1e-12)
 
 
 def test_flow_constants_computes_energy(grid3):
@@ -144,8 +148,8 @@ def test_flow_constants_computes_energy(grid3):
     weights = single_asymmetry(mesh)
     energy = balance_energy(mesh, weights)
     constants = flow_constants(mesh, weights)
-    assert constants.time_bound == pytest.approx(
-        2.0 * math.sqrt(energy) / constants.decay_rate, rel=1e-12
+    assert constants.log_time_bound == pytest.approx(
+        math.log(2.0 * math.sqrt(energy)) - constants.log_decay_rate, rel=1e-12
     )
     assert constants.min_weight == 1.0
     assert constants.asym_bound == pytest.approx(4.0)  # |5 - 1| on one edge
@@ -157,8 +161,8 @@ def test_flow_constants_underflow_is_explicit():
     rng = np.random.default_rng(11)
     weights = WeightAssignment(10.0 ** rng.uniform(-3.0, 3.0, len(mesh.directed_edges)))
     constants = flow_constants(mesh, weights)
-    assert constants.decay_rate == 0.0
-    assert constants.time_bound == math.inf
+    assert math.exp(constants.log_decay_rate) == 0.0
+    assert math.isfinite(constants.log_time_bound)
     assert constants.gate_scale > 0
 
 
@@ -344,7 +348,7 @@ def test_retract_respects_time_bound(grid3, rng):
     constants = flow_constants(mesh, weights)
     trace = retract(mesh, weights)
     assert trace.status == CONVERGED
-    assert trace.samples[-1].t <= constants.time_bound
+    assert math.log(trace.samples[-1].t) <= constants.log_time_bound
 
 
 def test_retract_dissipation_along_trajectory(grid3):

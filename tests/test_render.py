@@ -23,8 +23,67 @@ def parse(svg_text):
     return ET.fromstring(svg_text)
 
 
-def edge_groups(root):
-    return [g for g in root.iter(f"{SVG}g") if g.get("class") == "edge"]
+def edge_lines(root):
+    return [e for e in root.iter(f"{SVG}line") if e.get("class") == "edge"]
+
+
+def clipped_pieces(svg_text, size=800):
+    """Per data-edge, the pieces of the drawn lines inside the square, in
+    pixels: each line clipped to [0, 1]^2 by the scalar clip."""
+    pieces = {}
+    for line in edge_lines(parse(svg_text)):
+        x1, y1, x2, y2 = (float(line.get(a)) for a in ("x1", "y1", "x2", "y2"))
+        clip = helpers._oracle_clip_segment((x1 / size, 1.0 - y1 / size), (x2 / size, 1.0 - y2 / size))
+        edge = pieces.setdefault(line.get("data-edge"), [])
+        if clip is not None:
+            edge.append([(x * size, (1.0 - y) * size) for x, y in clip])
+    return pieces
+
+
+def reference_pieces(svg_text):
+    """Per data-edge, the clipped pieces of the reference picture, in pixels."""
+    root = parse(svg_text)
+    return {
+        g.get("data-edge"): [
+            [(float(e.get("x1")), float(e.get("y1"))), (float(e.get("x2")), float(e.get("y2")))]
+            for e in g
+        ]
+        for g in root.iter(f"{SVG}g")
+    }
+
+
+def near_border(piece, size):
+    """The piece lies within half the stroke width, 0.7 px, of one side of the square."""
+    return any(
+        all(abs(point[axis] - side) <= 0.7 for point in piece)
+        for axis in (0, 1)
+        for side in (0.0, size)
+    )
+
+
+def assert_same_picture(mesh, placement, size=800, **kwargs):
+    """The clipped lines show the reference picture's pieces within 0.01 px,
+    plus four float spacings of ``size``, up to extra pieces along the border,
+    and the same flipped faces and labels."""
+    svg = render_svg(mesh, placement, size=size, **kwargs)
+    reference = helpers.oracle_clipped_svg(mesh, placement, size=size, **kwargs)
+    drawn = clipped_pieces(svg, size)
+    expected = reference_pieces(reference)
+    assert drawn.keys() == expected.keys()
+    tol = 0.01 + size * 2.0**-50
+    extra = 0
+    for edge, pieces in expected.items():
+        left = list(drawn[edge])
+        for piece in pieces:
+            match = [k for k, other in enumerate(left) if np.abs(np.subtract(other, piece)).max() <= tol]
+            assert match, (edge, piece, drawn[edge])
+            left.pop(match[0])
+        assert all(near_border(piece, size) for piece in left), (edge, left)
+        extra += len(left)
+    others = [line for line in svg.splitlines() if 'class="edge"' not in line]
+    reference_others = [line for line in reference.splitlines() if 'class="edge"' not in line]
+    assert others[1:] == reference_others[1:]
+    return extra
 
 
 def test_svg_well_formed_and_complete(bumpy4):
@@ -32,9 +91,11 @@ def test_svg_well_formed_and_complete(bumpy4):
     root = parse(render_svg(mesh, placement))
     assert root.tag == f"{SVG}svg"
     assert root.get("width") == "800"
-    groups = edge_groups(root)
-    assert len(groups) == mesh.edge_count
-    seen = {g.get("data-edge") for g in groups}
+    # the viewport clips the unclipped edge lines
+    assert root.get("overflow") == "hidden"
+    assert not [g for g in root.iter(f"{SVG}g") if g.get("class") == "edge"]
+    seen = {e.get("data-edge") for e in edge_lines(root)}
+    assert len(seen) == mesh.edge_count
     expected = {
         f"{i}-{j}" for i, j in (tuple(e) for e in mesh.directed_edges) if i < j
     }
@@ -72,8 +133,7 @@ def test_segment_counts_by_seam_class(grid3):
     """A wrap-free placement splits every edge by its seam crossings."""
     mesh, placement = grid3
     inside = Placement(placement.coords + [0.11, 0.17])
-    root = parse(render_svg(mesh, inside))
-    by_edge = {g.get("data-edge"): len(list(g)) for g in edge_groups(root)}
+    by_edge = {edge: len(pieces) for edge, pieces in clipped_pieces(render_svg(mesh, inside)).items()}
     histogram = {}
     for k, (i, j) in enumerate(mesh.directed_edges):
         if i >= j:
@@ -87,20 +147,15 @@ def test_segment_counts_by_seam_class(grid3):
 
 
 def test_segments_cover_each_edge(bumpy4):
-    """Per edge, the drawn pieces add up to the lifted edge length."""
+    """Per edge, the drawn lines' pieces in the square add up to the lifted edge length."""
     mesh, placement = bumpy4
     size = 800.0
     vecs = edge_vectors(mesh, placement)
-    root = parse(render_svg(mesh, placement))
-    for g in edge_groups(root):
-        i, j = (int(s) for s in g.get("data-edge").split("-"))
+    for edge, pieces in clipped_pieces(render_svg(mesh, placement)).items():
+        i, j = (int(s) for s in edge.split("-"))
         k = helpers.edge_id(mesh, i, j)
         length = math.hypot(vecs[k][0], vecs[k][1])
-        drawn = 0.0
-        for line in g:
-            x1, y1 = float(line.get("x1")), float(line.get("y1"))
-            x2, y2 = float(line.get("x2")), float(line.get("y2"))
-            drawn += math.hypot(x2 - x1, y2 - y1) / size
+        drawn = sum(math.hypot(q[0] - p[0], q[1] - p[1]) / size for p, q in pieces)
         assert abs(drawn - length) <= 1e-4, (i, j)
 
 
@@ -146,17 +201,20 @@ def test_non_positive_size_rejected(grid3, size):
 
 
 def test_matches_scalar_renderer(grid3, grid4, bumpy3, bumpy4, k7):
-    """Vectorized clipping writes the same bytes as nine scalar clips per edge."""
+    """The record writer writes the scalar line loop's bytes, and the lines,
+    clipped to the square, show the reference picture."""
     mesh3, seam = grid3
     folded = folded_grid3(grid3)
     rng = np.random.default_rng(12)
     diagonal = helpers.mesh_of(*helpers.random_diagonal_grid(12, rng))
     coords = helpers.grid_coords(12) + rng.uniform(-0.1, 0.1, (144, 2)) / 12
     coords[0] = 0.0
-    # vertex 3 sits 5e-13 inside the seam x = 1: the edge 3-4 leaves a
-    # piece shorter than 1e-12 in the central square, which is dropped
+    # vertex 3 sits 5e-13 inside the seam x = 1: the reference drops the piece
+    # shorter than 1e-12 that edge 3-4 leaves in the central square, and the
+    # edges 0-3 and 3-6, written at x = -0.000, now show on the left border too
     grazing = seam.coords.copy()
     grazing[3] = [-5e-13, 1 / 3]
+    grazing = Placement(grazing)
     # lifted edge 3 -> 4 is longer than 1, so its lift leaves the
     # neighbouring squares on the right
     long_edge = seam.coords.copy()
@@ -165,11 +223,13 @@ def test_matches_scalar_renderer(grid3, grid4, bumpy3, bumpy4, k7):
     on_seam = seam.coords.copy()
     on_seam[5] = [2 / 3, 1.0]
     on_seam[4] = [-1e-20, -1e-20]
+    on_seam = Placement(on_seam)
     # the column x = 1e-20 is vertical; under the +1 translate x rounds to
-    # exactly 1, so it leaves pieces on the right seam although min x > 0
+    # exactly 1, so it is drawn on the right seam although min x > 0
     rounded = seam.coords.copy()
     rounded[[0, 3, 6], 0] = 1e-20
-    # vertex 1 on vertex 0: edge 0-1 has no piece, an empty group
+    # vertex 1 on vertex 0: edge 0-1 is a point at the corners, drawn as four
+    # lines of length 0 that show no piece
     collapsed = seam.coords.copy()
     collapsed[1] = 0.0
     # pixel values on ties of %.3f at size 1: 0.0625 -> 0.062, 0.6875 -> 0.688
@@ -181,21 +241,25 @@ def test_matches_scalar_renderer(grid3, grid4, bumpy3, bumpy4, k7):
     mesh4, grid4_place = grid4
     touching = grid4_place.coords.copy()
     touching[5] = [-0.125, 0.0]
-    # the clip leaves one x of -1.4e-17, written -0.000
     negative = perturb(*gen_grid(4), 0.1, seed=7)
+    # edges out of vertex 5 at (1e100, -1e100) are cut to length 3; the nine
+    # polygon clips of the scalar renderer leave degenerate flipped faces at
+    # that scale where the box test skips the clip, so faces are left out
+    far = grid4_place.coords.copy()
+    far[5] = [1e100, -1e100]
     big, start = gen_grid(32)
     huge = gen_grid(101)
     cases = [
-        # vertices on the seam lines: den == 0 with num == 0, single-point pieces
+        # vertices on the seam lines: lines along the border, single-point pieces
         (grid3, {}),
         ((mesh3, Placement(long_edge)), {}),
-        ((mesh3, Placement(on_seam)), {}),
+        ((mesh3, on_seam), {}),
         ((mesh3, Placement(rounded)), {}),
         ((mesh3, Placement(rounded)), {"size": 1}),
         (bumpy4, {"size": 1}),
         ((big, perturb(big, start, 0.2, seed=5)), {}),
         ((mesh3, Placement(seam.coords + [0.11, 0.17])), {}),
-        ((mesh3, Placement(grazing)), {}),
+        ((mesh3, grazing), {}),
         (bumpy3, {}),
         (bumpy4, {}),
         (k7, {}),
@@ -208,6 +272,8 @@ def test_matches_scalar_renderer(grid3, grid4, bumpy3, bumpy4, k7):
         ((gen_grid(4)[0], negative), {"size": 1}),
         (huge, {}),
         ((mesh4, Placement(touching)), {}),
+        ((mesh4, Placement(far)), {"highlight_flipped": False}),
+        ((mesh4, Placement(far)), {"size": render.MAX_SIZE, "highlight_flipped": False}),
         (bumpy3, {"size": 10**6}),
         (bumpy3, {"size": render.MAX_SIZE}),
         (bumpy3, {"size": np.int32(64)}),
@@ -215,13 +281,18 @@ def test_matches_scalar_renderer(grid3, grid4, bumpy3, bumpy4, k7):
     for (mesh, placement), kwargs in cases:
         expected = helpers.oracle_render_svg(mesh, placement, **kwargs)
         assert render_svg(mesh, placement, **kwargs) == expected, kwargs
+        extra = assert_same_picture(mesh, placement, **kwargs)
+        # a seam edge shows its half stroke on both borders instead of one
+        assert extra == (2 if placement is on_seam or placement is grazing else 0), kwargs
     # the cases above reach what they are meant to
-    assert '<g class="edge" data-edge="0-1"></g>' in render_svg(mesh3, Placement(collapsed))
+    assert 'data-edge="0-1" x1="0.000" y1="800.000" x2="0.000" y2="800.000"' in render_svg(
+        mesh3, Placement(collapsed)
+    )
     assert '"0.062"' in render_svg(mesh3, Placement(ties), size=1)
-    assert '"-0.000"' in render_svg(gen_grid(4)[0], negative, size=1)
     assert 'data-edge="10199-10200"' in render_svg(*huge)
     corner = 'data-face="1" points="0.000,0.000 0.000,0.000 0.000,0.000 0.000,0.000"'
     assert corner in render_svg(mesh4, Placement(touching))
+    assert 'x1="-600.000" y1="800.000" x2="1097.056" y2="2497.056"' in render_svg(mesh4, Placement(far))
 
 
 def test_numbers_match_percent_format():
@@ -236,23 +307,22 @@ def test_numbers_match_percent_format():
     ids = rng.integers(0, 12345, (len(values), 2))
     ids[0] = [0, 12344]
     digits = render._decimal(np.arange(12345))
-    text = render._write_groups(ids, np.ones(len(values), dtype=int), values, digits).decode()
+    text = render._write_lines(ids, values, digits).decode()
     expected = "".join(
-        f'<g class="edge" data-edge="{i}-{j}">' + render._LINE % tuple(v) + "</g>\n"
-        for (i, j), v in zip(ids.tolist(), values.tolist())
+        render._LINE % (i, j, *v) + "\n" for (i, j), v in zip(ids.tolist(), values.tolist())
     )
     assert text == expected
 
 
 def test_blocks_of_edge_groups_join_seamlessly(bumpy4, monkeypatch):
-    """Formatting a few edge groups per % writes the scalar renderer's bytes."""
+    """Writing the lines of a few edges per block writes the scalar renderer's bytes."""
     mesh, placement = bumpy4
     monkeypatch.setattr(render, "_BLOCK", 5)
     assert render_svg(mesh, placement) == helpers.oracle_render_svg(mesh, placement)
 
 
 def test_render_memory_stays_near_output_size():
-    """Clipping and formatting in blocks of edges keeps the peak within a few output sizes."""
+    """Writing the lines in blocks of edges keeps the peak within a few output sizes."""
     mesh, placement = gen_grid(64)
     placement = perturb(mesh, placement, 0.1, seed=3)
     render_svg(mesh, placement)
@@ -270,11 +340,27 @@ def test_render_memory_stays_near_output_size():
 @pytest.mark.parametrize("axis", [0, 1])
 def test_subnormal_coordinate_clips_without_overflow(axis, value):
     """gen --size 4 --perturb 0.05 --seed 1 with vertex 1 moved to a subnormal
-    x or y: edges clip to the scalar renderer's bytes, and no den is divided by."""
+    x or y writes the scalar renderer's bytes, without a warning."""
     mesh, placement = gen_grid(4)
     coords = perturb(mesh, placement, 0.05, 1).coords.copy()
     coords[1, axis] = value
     moved = Placement(coords)
-    with np.errstate(over="ignore"):  # the oracle divides NumPy scalars, to inf
-        expected = helpers.oracle_render_svg(mesh, moved)
-    assert render_svg(mesh, moved) == expected
+    svg = render_svg(mesh, moved)
+    assert svg == helpers.oracle_render_svg(mesh, moved)
+    # x of the edge 0-1 at 800 * -1e-320
+    assert ('x2="-0.000"' in svg) == (axis == 0 and value < 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [800, render.MAX_SIZE])
+@pytest.mark.parametrize("value", [1e100, -1e100])
+def test_far_coordinate_keeps_pixel_values_bounded(size, value):
+    """A coordinate of ±1e100 draws every line inside [-4 size, 5 size]."""
+    mesh, placement = gen_grid(4)
+    coords = perturb(mesh, placement, 0.05, 1).coords.copy()
+    coords[5] = [value, -value]
+    root = parse(render_svg(mesh, Placement(coords), size=size))
+    lines = edge_lines(root)
+    assert len({e.get("data-edge") for e in lines}) == mesh.edge_count
+    px = np.array([[float(e.get(a)) for a in ("x1", "y1", "x2", "y2")] for e in lines])
+    assert -4 * size <= px.min() and px.max() <= 5 * size
